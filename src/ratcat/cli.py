@@ -36,6 +36,9 @@ def _dump(obj) -> str:
 
 
 def _params(args) -> GridParams:
+    """The grid of --n, --m, --d; the one place where --d is checked."""
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, got {args.d}")
     return GridParams(args.n, args.m, args.d)
 
 
@@ -193,7 +196,8 @@ def cmd_series(args) -> int:
 
 def cmd_count(args) -> int:
     if args.kind == "bizley":
-        print(bizley_count(args.n, args.m, args.d))
+        params = _params(args)
+        print(bizley_count(params.n, params.m, params.d))
     else:
         print(fuss_catalan(args.N, args.k))
     return 0

@@ -15,7 +15,14 @@ import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from .errors import Infeasible, InvalidGraph, NotNormalized, TooManyVertices
+from .errors import (
+    Infeasible,
+    InvalidGraph,
+    InvalidSkeleton,
+    InvariantViolation,
+    NotNormalized,
+    TooManyVertices,
+)
 from .invset import InvariantSet, Skeleton, gap, invset_from_skeleton, skeleton
 from .lattice import GridParams
 
@@ -83,11 +90,13 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
                 if v[j] - b[j][i] > v[i]:
                     raise Infeasible("relaxation failed to stabilize")
     result = tuple(v)
-    assert all(x <= 0 for x in result)
+    if any(x > 0 for x in result):
+        raise InvariantViolation(f"minimal shifting {result} has a positive entry")
     for i in range(d):
         for j in range(d):
-            if i != j and b[i][j] is not None:
-                assert result[i] - result[j] <= b[i][j]
+            if i != j and b[i][j] is not None and result[i] - result[j] > b[i][j]:
+                raise InvariantViolation(
+                    f"minimal shifting {result} breaks the bound b[{i}][{j}]")
     return result
 
 
@@ -121,7 +130,7 @@ class LabeledDigraph:
         for i, lbl in enumerate(self.labels):
             try:
                 rec = invset_from_skeleton(coprime, lbl)
-            except Exception as exc:
+            except InvalidSkeleton as exc:
                 raise InvalidGraph(f"label {i} is not a skeleton: {exc}") from exc
             if rec.min_element() < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
@@ -205,11 +214,15 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
     for i in range(d):
         for j in range(d):
             if i != j and set(labels[i]) & set(labels[j]):
-                assert f[i] != f[j], "intersecting parts on the same level"
+                if f[i] == f[j]:
+                    raise InvariantViolation(
+                        f"intersecting parts {i}, {j} on the same level")
                 if f[i] < f[j]:
                     edges.add((i, j))
     graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges), source=0)
-    assert graph.levels() == f, "levels must match the shift residues"
+    if graph.levels() != f:
+        raise InvariantViolation(
+            f"levels {graph.levels()} do not match the shift residues {f}")
     return graph
 
 
@@ -263,10 +276,13 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     params = GridParams(graph.n, graph.m, d)
     try:
         delta = invset_from_skeleton(params, values)
-    except Exception as exc:
+    except InvalidSkeleton as exc:
         raise InvalidGraph(f"labels do not assemble to a subset: {exc}") from exc
-    assert delta.normalized
-    assert canonical_form(build_graph(delta)) == canonical_form(graph)
+    if not delta.normalized:
+        raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
+    if canonical_form(build_graph(delta)) != canonical_form(graph):
+        raise InvariantViolation(
+            "the minimal representative's gluing data is not isomorphic to the input")
     return delta
 
 

@@ -5,6 +5,14 @@ class DomainError(Exception):
     """Base class for errors raised on mathematically invalid input."""
 
 
+class InvariantViolation(RuntimeError):
+    """An internal invariant failed: a bug in ratcat, not bad input.
+
+    Deliberately not a DomainError, so that no handler for invalid input
+    can mistake it for one; unlike an assert it survives ``python -O``.
+    """
+
+
 class MalformedPath(DomainError):
     """Step string has the wrong length, alphabet, or letter counts."""
 
@@ -15,10 +23,6 @@ class AboveDiagonal(DomainError):
 
 class LimitExceeded(DomainError):
     """Requested enumeration is larger than the configured size limit."""
-
-
-class Overflow(DomainError):
-    """Exact arithmetic produced a non-integral or out-of-range result."""
 
 
 class EmptyInput(DomainError):

@@ -18,16 +18,34 @@ used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .errors import InvalidGraph, NoIntersection, NotBalanced
+from .errors import InvalidGraph, InvariantViolation, NoIntersection, NotBalanced
 from .equiv import LabeledDigraph
-from .invset import invset_from_skeleton, map_D_coprime
+from .invset import invset_from_skeleton
 from .lattice import DyckPath, GridParams
 
 
 def coprime_rank(n: int, m: int, x: int, y: int) -> int:
     """Rank m*n - m - n - n*x - m*y of the box (x, y) for d = 1."""
     return m * n - m - n - n * x - m * y
+
+
+def _good_positions(ranks: list[int], width: int) -> list[int]:
+    """Starts of the good intervals of the path with the given point ranks.
+
+    A window of width = n+m steps changes the rank by (n+m)(n - #v), so
+    it is balanced exactly when its end point has the rank of its start.
+    It is good when, in addition, its ranks miss every point rank before
+    its start; one left-to-right scan keeps those earlier ranks in a set.
+    """
+    out = []
+    before = set()
+    for r in range(len(ranks) - width):
+        if ranks[r] == ranks[r + width] and before.isdisjoint(ranks[r:r + width]):
+            out.append(r)
+        before.add(ranks[r])
+    return out
 
 
 @dataclass(frozen=True)
@@ -49,22 +67,25 @@ class PeriodicPath:
         return coprime_rank(self.n, self.m, a - 1, b) in self.skel
 
     def step_at(self, a: int, b: int) -> str:
-        r = coprime_rank(self.n, self.m, a - 1, b)
-        if r not in self.skel:
-            raise NoIntersection(f"point ({a}, {b}) is not on the path")
-        return "v" if self.gens[r % self.n] == r else "h"
+        return self._walk_from_rank(coprime_rank(self.n, self.m, a - 1, b), 1)
 
     def walk(self, point: tuple[int, int], count: int) -> str:
         """The step string of the window starting at the given on-path point."""
         a, b = point
+        return self._walk_from_rank(coprime_rank(self.n, self.m, a - 1, b), count)
+
+    def _walk_from_rank(self, r: int, count: int) -> str:
+        n, m, skel, gens = self.n, self.m, self.skel, self.gens
         steps = []
         for _ in range(count):
-            s = self.step_at(a, b)
-            steps.append(s)
-            if s == "h":
-                a -= 1
+            if r not in skel:
+                raise NoIntersection(f"no point of rank {r} is on the path")
+            if gens[r % n] == r:
+                steps.append("v")
+                r -= m
             else:
-                b += 1
+                steps.append("h")
+                r += n
         return "".join(steps)
 
 
@@ -89,7 +110,6 @@ class AnchoredPath:
     m: int
     start: tuple[int, int]
     steps: str
-    origins: tuple[int, ...] = ()
 
     def points(self) -> list[tuple[int, int]]:
         x, y = self.start
@@ -103,17 +123,27 @@ class AnchoredPath:
         return pts
 
     def point_box_ranks(self) -> list[int]:
-        """Rank of the box below-left of every visited point."""
-        return [coprime_rank(self.n, self.m, a - 1, b) for a, b in self.points()]
+        """Rank of the box below-left of every visited point.
+
+        Walked from the start: an 'h' step moves the point to x - 1 and
+        adds n to the rank, a 'v' step moves it to y + 1 and subtracts m.
+        """
+        n, m = self.n, self.m
+        x, y = self.start
+        return list(accumulate(map({"h": n, "v": -m}.__getitem__, self.steps),
+                               initial=coprime_rank(n, m, x - 1, y)))
 
     def is_dyck(self) -> bool:
-        """Weakly below the diagonal through its own start and end."""
+        """Weakly below the diagonal through its own start and end.
+
+        A point (x, y) satisfies n*x + m*y <= n*x0 + m*y0 exactly when its
+        box rank is at least the rank at the start (x0, y0).
+        """
         k, rem = divmod(len(self.steps), self.n + self.m)
         if rem or self.steps.count("v") != k * self.n:
             return False
-        x0, y0 = self.start
-        bound = self.n * x0 + self.m * y0
-        return all(self.n * x + self.m * y <= bound for x, y in self.points())
+        ranks = self.point_box_ranks()
+        return min(ranks) >= ranks[0]
 
 
 def _anchored(path: DyckPath) -> AnchoredPath:
@@ -124,32 +154,27 @@ def _anchored(path: DyckPath) -> AnchoredPath:
     an anchored path are directly comparable with digraph labels.
     """
     p = path.params
-    return AnchoredPath(p.n, p.m, (p.m, 0), path.steps,
-                        tuple(range(len(path.steps))))
+    return AnchoredPath(p.n, p.m, (p.m, 0), path.steps)
 
 
-def glue_once(dhat: AnchoredPath, periodic: PeriodicPath,
-              tag: int = -1) -> AnchoredPath:
+def glue_once(dhat: AnchoredPath, periodic: PeriodicPath) -> AnchoredPath:
     """Splice one fundamental window of a periodic path into dhat.
 
     The window enters at the first point of dhat (in path order) lying
     on the periodic path; the remainder of dhat continues after the
     window, which amounts to translating it by (-m, n).
     """
-    ranks = dhat.point_box_ranks()
-    for z, r in enumerate(ranks):
-        if r in periodic.skel:
-            cut = z
+    skel = periodic.skel
+    for cut, r in enumerate(dhat.point_box_ranks()):
+        if r in skel:
             break
     else:
         raise NoIntersection("the periodic path misses the current path")
-    point = dhat.points()[cut]
-    window = periodic.walk(point, periodic.n + periodic.m)
-    out = AnchoredPath(
-        dhat.n, dhat.m, dhat.start,
-        dhat.steps[:cut] + window + dhat.steps[cut:],
-        dhat.origins[:cut] + (tag,) * len(window) + dhat.origins[cut:])
-    assert out.is_dyck()
+    window = periodic._walk_from_rank(r, periodic.n + periodic.m)
+    out = AnchoredPath(dhat.n, dhat.m, dhat.start,
+                       dhat.steps[:cut] + window + dhat.steps[cut:])
+    if not out.is_dyck():
+        raise InvariantViolation(f"gluing produced {out.steps!r}, not a Dyck path")
     return out
 
 
@@ -161,13 +186,11 @@ def _glue_all_anchored(graph: LabeledDigraph) -> AnchoredPath:
     start = (m, 0)
     if not src.contains_point(*start):
         raise InvalidGraph("source label is not 0-normalized")
-    cur = AnchoredPath(n, m, start, src.walk(start, n + m),
-                       (graph.source,) * (n + m))
+    cur = AnchoredPath(n, m, start, src.walk(start, n + m))
     for level in range(1, max(f, default=0) + 1):
         for v in range(graph.d):
             if f[v] == level:
-                cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]),
-                                tag=v)
+                cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
     return cur
 
 
@@ -182,27 +205,6 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     return DyckPath(GridParams(graph.n, graph.m, graph.d), cur.steps)
 
 
-def _balanced_positions(ap: AnchoredPath) -> list[int]:
-    n, m = ap.n, ap.m
-    k = len(ap.steps) // (n + m)
-    vprefix = [0]
-    for s in ap.steps:
-        vprefix.append(vprefix[-1] + (s == "v"))
-    return [r for r in range(0, (k - 1) * (n + m) + 1)
-            if vprefix[r + n + m] - vprefix[r] == n]
-
-
-def _good_positions(ap: AnchoredPath) -> list[int]:
-    n, m = ap.n, ap.m
-    ranks = ap.point_box_ranks()
-    out = []
-    for r in _balanced_positions(ap):
-        window = set(ranks[r:r + n + m])
-        if all(ranks[z] not in window for z in range(r)):
-            out.append(r)
-    return out
-
-
 def good_intervals(path: DyckPath) -> list[int]:
     """Start positions of the good intervals of a Dyck path.
 
@@ -212,14 +214,14 @@ def good_intervals(path: DyckPath) -> list[int]:
     At least one good interval always exists, and the balanced interval
     closest to the start is always good.
     """
-    return _good_positions(_anchored(path))
+    p = path.params
+    return _good_positions(_anchored(path).point_box_ranks(), p.n + p.m)
 
 
 def window_skeleton(path: DyckPath, r: int) -> frozenset[int]:
     """Step ranks of the n+m steps starting at position r."""
-    ap = _anchored(path)
-    n, m = ap.n, ap.m
-    return frozenset(ap.point_box_ranks()[r:r + n + m])
+    p = path.params
+    return frozenset(_anchored(path).point_box_ranks()[r:r + p.n + p.m])
 
 
 def remove_interval(path: DyckPath, r: int) -> DyckPath:
@@ -242,6 +244,11 @@ class ColoredPath:
     sliding the connected runs along that periodic path by multiples of
     (m, -n) they tile a fundamental window, and the window below its own
     diagonal is the (n, m)-Dyck path stored in components[color].
+
+    That window is read off the class directly: by the cycle lemma, since
+    gcd(n, m) = 1, exactly one rotation of a word with n 'v' and m 'h'
+    stays weakly below the diagonal, and component v is that rotation of
+    the steps of class v taken in path order.
     """
 
     base: DyckPath
@@ -264,64 +271,90 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     intersecting labels and point from later-removed to earlier-removed
     vertices; original step positions are tracked through the removals
     and become the coloring.
+
+    The point ranks are computed once and peeled along with the steps:
+    removing a balanced window translates the tail by (m, -n), which
+    changes a box rank n*x + m*y + const by -n*m + m*n = 0, so the ranks
+    of the shortened path are the old ranks with the window deleted.
     """
     p = path.params
     n, m = p.n, p.m
+    width = n + m
     total = len(path.steps)
     if not total:
         raise ValueError("cannot unglue the empty path")
-    cur = _anchored(path)
+    step_ranks = _anchored(path).point_box_ranks()
+    ranks = list(step_ranks)
     orig = list(range(total))
     provisional = [None] * total
     batches: list[list[frozenset[int]]] = []
-    while cur.steps:
-        goods = _good_positions(cur)
-        assert goods, "every nonempty path has a good interval"
-        ranks = cur.point_box_ranks()
-        batch = [frozenset(ranks[r:r + n + m]) for r in goods]
-        batches.append(batch)
-        b_idx = len(batches) - 1
+    while len(ranks) > 1:
+        goods = _good_positions(ranks, width)
+        if not goods:
+            raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
+        b_idx = len(batches)
+        batches.append([frozenset(ranks[r:r + width]) for r in goods])
         for pos in range(len(goods) - 1, -1, -1):
             r = goods[pos]
-            for z in range(r, r + n + m):
-                provisional[orig[z]] = (b_idx, pos)
-            del orig[r:r + n + m]
-            cur = AnchoredPath(n, m, cur.start,
-                               cur.steps[:r] + cur.steps[r + n + m:])
-    assert len(batches[-1]) == 1, "peeling must end at a single window"
+            for z in orig[r:r + width]:
+                provisional[z] = (b_idx, pos)
+            del orig[r:r + width]
+            del ranks[r:r + width]
+    if len(batches[-1]) != 1:
+        raise InvariantViolation(f"peeling {path.steps!r} did not end at a single window")
 
     vertex_of = {}
-    labels = []
+    skels = []
     batch_of = []
     for b_idx in range(len(batches) - 1, -1, -1):
         for pos, skel in enumerate(batches[b_idx]):
-            vertex_of[(b_idx, pos)] = len(labels)
-            labels.append(tuple(sorted(skel)))
+            vertex_of[(b_idx, pos)] = len(skels)
+            skels.append(skel)
             batch_of.append(b_idx)
+    labels = tuple(tuple(sorted(skel)) for skel in skels)
     d = len(labels)
     edges = set()
     for u in range(d):
         for v in range(d):
-            if u != v and set(labels[u]) & set(labels[v]):
-                assert batch_of[u] != batch_of[v], \
-                    "good intervals of one round must be disjoint"
+            if u != v and not skels[u].isdisjoint(skels[v]):
+                if batch_of[u] == batch_of[v]:
+                    raise InvariantViolation(
+                        f"good intervals of one round meet in {path.steps!r}")
                 if batch_of[u] > batch_of[v]:
                     edges.add((u, v))
-    graph = LabeledDigraph(n, m, tuple(labels), frozenset(edges), source=0)
+    graph = LabeledDigraph(n, m, labels, frozenset(edges), source=0)
 
     colors = tuple(vertex_of[tag] for tag in provisional)
+    classes = [[] for _ in range(d)]
+    for z, c in enumerate(colors):
+        classes[c].append(z)
     coprime = GridParams(n, m, 1)
-    step_ranks = _anchored(path).point_box_ranks()[:total]
     components = []
-    for v in range(d):
-        cls = [z for z, c in enumerate(colors) if c == v]
-        assert sum(path.steps[z] == "v" for z in cls) == n and len(cls) == n + m
-        assert tuple(sorted(step_ranks[z] for z in cls)) == labels[v], \
-            "a color class must carry each skeleton rank exactly once"
-        delta_v = invset_from_skeleton(coprime, labels[v])
-        components.append(map_D_coprime(delta_v.shifted(-delta_v.min_element())))
+    for v, cls in enumerate(classes):
+        word = "".join([path.steps[z] for z in cls])
+        if len(word) != width or word.count("v") != n:
+            raise InvariantViolation(f"color class {v} of {path.steps!r} is not balanced")
+        if tuple(sorted([step_ranks[z] for z in cls])) != labels[v]:
+            raise InvariantViolation(
+                f"color class {v} of {path.steps!r} does not carry each "
+                "skeleton rank exactly once")
+        components.append(DyckPath(coprime, _rotation_below_diagonal(word, n, m)))
     _check_run_translations(path, colors, n, m)
     return graph, ColoredPath(path, colors, tuple(components))
+
+
+def _rotation_below_diagonal(word: str, n: int, m: int) -> str:
+    """The unique rotation of word (n 'v', m 'h') weakly below the diagonal.
+
+    The rotation starts right after the first maximum of the prefix sum
+    that adds m per 'v' and subtracts n per 'h' (the cycle lemma).
+    """
+    height = best = cut = 0
+    for i, s in enumerate(word, 1):
+        height += m if s == "v" else -n
+        if height > best:
+            best, cut = height, i
+    return word[cut:] + word[:cut]
 
 
 def _check_run_translations(path: DyckPath, colors, n: int, m: int) -> None:
@@ -333,8 +366,10 @@ def _check_run_translations(path: DyckPath, colors, n: int, m: int) -> None:
         if c in last_end:
             ex, ey = last_end[c]
             dx, dy = sx - ex, sy - ey
-            assert dx * n + dy * m == 0 and dx <= 0 and (-dx) % m == 0, \
-                "color runs must differ by multiples of (-m, n)"
+            if not (dx * n + dy * m == 0 and dx <= 0 and (-dx) % m == 0):
+                raise InvariantViolation(
+                    f"color {c} of {path.steps!r}: runs differ by ({dx}, {dy}), "
+                    "not a multiple of (-m, n)")
         last_end[c] = pts[z + 1]
 
 

@@ -17,6 +17,7 @@ from .errors import (
     EmptyInput,
     InvalidCore,
     InvalidSkeleton,
+    InvariantViolation,
     NotCoprimeCase,
     NotNormalized,
 )
@@ -34,15 +35,16 @@ class InvariantSet:
     gen: tuple[int, ...]
 
     def __post_init__(self):
-        p = self.params
-        object.__setattr__(self, "gen", tuple(self.gen))
-        if len(self.gen) != p.N:
-            raise ValueError(f"need {p.N} generators, got {len(self.gen)}")
-        for c, g in enumerate(self.gen):
-            if g % p.N != c:
-                raise ValueError(f"generator {g} not congruent to {c} mod {p.N}")
-        for c, g in enumerate(self.gen):
-            if self.gen[(c + p.M) % p.N] > g + p.M:
+        N, M = self.params.N, self.params.M
+        gen = tuple(self.gen)
+        object.__setattr__(self, "gen", gen)
+        if len(gen) != N:
+            raise ValueError(f"need {N} generators, got {len(gen)}")
+        for c, g in enumerate(gen):
+            if g % N != c:
+                raise ValueError(f"generator {g} not congruent to {c} mod {N}")
+        for c, g in enumerate(gen):
+            if gen[(c + M) % N] > g + M:
                 raise ValueError("generator vector is not M-invariant")
 
     @property
@@ -153,12 +155,11 @@ def cogenerators_m(delta: InvariantSet) -> list[int]:
     y is an M-cogenerator iff y is not in Delta but y + M is; these are
     enumerated from the generator vector in closed form.
     """
-    p = delta.params
+    N, M = delta.params.N, delta.params.M
+    gen = delta.gen
     out = []
-    for b in range(p.N):
-        lo = delta.gen[(b + p.M) % p.N] - p.M
-        count = (delta.gen[b] - lo) // p.N
-        out.extend(lo + k * p.N for k in range(count))
+    for b in range(N):
+        out.extend(range(gen[(b + M) % N] - M, gen[b], N))
     return sorted(out)
 
 
@@ -178,24 +179,23 @@ def invset_from_skeleton(params: GridParams, values) -> InvariantSet:
     The largest value in each class mod N is the generator of that
     class; the reconstruction must reproduce the input value set.
     """
+    N, M = params.N, params.M
     values = sorted(values)
-    if len(values) != params.N + params.M:
-        raise InvalidSkeleton(
-            f"need {params.N + params.M} values, got {len(values)}")
+    if len(values) != N + M:
+        raise InvalidSkeleton(f"need {N + M} values, got {len(values)}")
     if len(set(values)) != len(values):
         raise InvalidSkeleton("skeleton values must be distinct")
-    gen = [None] * params.N
-    for v in values:
-        c = v % params.N
-        if gen[c] is None or v > gen[c]:
-            gen[c] = v
-    if any(g is None for g in gen):
+    gen = [None] * N
+    for v in values:  # increasing, so the last value seen in a class wins
+        gen[v % N] = v
+    if None in gen:
         raise InvalidSkeleton("some class mod N has no skeleton value")
     try:
         delta = InvariantSet(params, tuple(gen))
     except ValueError as exc:
         raise InvalidSkeleton(str(exc)) from exc
-    if list(skeleton(delta).values()) != values:
+    # generators and M-cogenerators together are the skeleton's values
+    if sorted(gen + cogenerators_m(delta)) != values:
         raise InvalidSkeleton(f"{values} is not a skeleton")
     return delta
 
@@ -214,7 +214,8 @@ def map_D_coprime(delta: InvariantSet) -> DyckPath:
         steps.append("h" * (x - row))
         x = row
         steps.append("v")
-    assert x == 0
+    if x != 0:
+        raise InvariantViolation(f"diagram rows of {delta.gen} do not close at x = 0")
     return DyckPath(p, "".join(steps))
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .errors import AboveDiagonal, LimitExceeded, MalformedPath
+from .errors import AboveDiagonal, InvariantViolation, LimitExceeded, MalformedPath
 
 DEFAULT_ENUM_LIMIT = 24
 
@@ -89,8 +89,8 @@ class DyckPath:
                 y += 1
             if p.N * x + p.M * y > bound:
                 raise AboveDiagonal(f"{self.steps!r} crosses the diagonal")
-        if self.steps:
-            assert self.steps[-1] == "v"  # forced by the diagonal constraint
+        if self.steps and self.steps[-1] != "v":  # excluded by the diagonal constraint
+            raise InvariantViolation(f"{self.steps!r} ends with a horizontal step")
 
     def __str__(self) -> str:
         return self.steps
@@ -243,7 +243,7 @@ def _enumerate_cached(params: GridParams) -> tuple[DyckPath, ...]:
 def bizley_count(n: int, m: int, d: int) -> int:
     """|Y_{dn,dm}|: the coefficient of x^d in exp(sum_j C(j(m+n), jm)/(j(m+n)) x^j).
 
-    Computed in exact rational arithmetic; the result is asserted to be
+    Computed in exact rational arithmetic; the result is checked to be
     an integer.
     """
     if gcd(n, m) != 1:
@@ -257,7 +257,8 @@ def bizley_count(n: int, m: int, d: int) -> int:
     e[0] = Fraction(1)
     for r in range(1, d + 1):
         e[r] = sum(j * c[j] * e[r - j] for j in range(1, r + 1)) / r
-    assert e[d].denominator == 1, "exponential-formula coefficient must be integral"
+    if e[d].denominator != 1:
+        raise InvariantViolation(f"exponential-formula coefficient {e[d]} is not integral")
     return int(e[d])
 
 

@@ -22,10 +22,12 @@ from .glue import glue_all, good_intervals, unglue, window_skeleton
 from .invset import (
     gap,
     invset_from_generators,
+    invset_from_skeleton,
+    map_D_coprime,
     map_G,
     skeleton,
 )
-from .lattice import GridParams, area, bizley_count, enumerate_paths
+from .lattice import DyckPath, GridParams, area, bizley_count, enumerate_paths
 from .series import (
     C_series,
     F_series,
@@ -326,15 +328,17 @@ def suite_coloring(max_size: int | None = None):
     max_size = max_size or 14
     lines, ok = [], True
     for params in all_grid_params(max_size):
-        n, m, d = params.n, params.m, params.d
+        n, m = params.n, params.m
         good = True
         for path in enumerate_paths(params):
-            _, colored = unglue(path)  # per-class invariants assert inside
+            graph, colored = unglue(path)  # per-class invariants raise inside
             for v, comp in enumerate(colored.components):
                 cls = [s for s, c in zip(path.steps, colored.colors) if c == v]
                 if len(cls) != n + m or cls.count("v") != n:
                     good = False
                 if comp.steps.count("v") != n or comp.steps.count("h") != m:
+                    good = False
+                if comp != component_oracle(n, m, graph.labels[v]):
                     good = False
             if params.n == params.m == 1:
                 if not _matches_paren_matching(path.steps, colored.colors):
@@ -344,6 +348,13 @@ def suite_coloring(max_size: int | None = None):
         ok &= good
         lines.append(line)
     return ok, lines
+
+
+def component_oracle(n: int, m: int, label) -> DyckPath:
+    """The coloring component of a vertex, computed from its label alone:
+    the diagram path of the label's invariant subset, 0-normalized."""
+    delta = invset_from_skeleton(GridParams(n, m, 1), label)
+    return map_D_coprime(delta.shifted(-delta.min_element()))
 
 
 def _matches_paren_matching(steps: str, colors) -> bool:

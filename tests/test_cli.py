@@ -130,3 +130,17 @@ def test_deterministic_output(capsys):
     second = run(capsys, "classify", "--n", "3", "--m", "2", "--d", "2",
                  "--path", "hvhvvhhvvv", "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "zeta", "--n", "1", "--m", "1", "--d", "0", "--path="),
+    ("stats", "--n", "1", "--m", "1", "--d", "0", "--path="),
+    ("invset", "info", "--n", "1", "--m", "1", "--d", "0", "--generators", "0"),
+    ("series", "C", "--n", "1", "--m", "1", "--d", "0", "--cutoff", "3"),
+    ("count", "bizley", "--n", "1", "--m", "1", "--d", "0"),
+    ("paths", "enumerate", "--n", "1", "--m", "1", "--d", "-1"),
+])
+def test_nonpositive_d_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --d must be at least 1, got {argv[argv.index('--d') + 1]}\n"

@@ -210,3 +210,17 @@ def test_census_matches_canonical_classes():
             assert len(set(paths)) == 1
         glued = {p[0] for p in forms.values()}
         assert len(glued) == len(forms)
+
+
+def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
+    import ratcat.equiv as equiv
+
+    def broken(params, values):
+        raise ZeroDivisionError("bug inside the skeleton reconstruction")
+
+    graph = left_graph()
+    monkeypatch.setattr(equiv, "invset_from_skeleton", broken)
+    with pytest.raises(ZeroDivisionError):
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges, graph.source)
+    with pytest.raises(ZeroDivisionError):
+        minimal_representative(graph)

@@ -1,4 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -25,9 +30,9 @@ from ratcat import (
     unglue,
     window_skeleton,
 )
-from ratcat.glue import AnchoredPath, glue_once
+from ratcat.glue import AnchoredPath, _anchored, glue_once
 from ratcat.invset import invset_from_skeleton
-from ratcat.verify import all_grid_params
+from ratcat.verify import all_grid_params, component_oracle
 
 BLUE = (-2, 0, 1, 2, 4)
 GREEN = (-2, -1, 0, 1, 2)
@@ -88,13 +93,12 @@ def _point_set(p):
 
 def test_glue_once_figure_steps():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5),
-                      (0,) * 5)
-    d1 = glue_once(d0, periodic_from_skeleton(3, 2, ORANGE), tag=1)
+    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5))
+    d1 = glue_once(d0, periodic_from_skeleton(3, 2, ORANGE))
     assert d1.steps == "hhhhvvvvvv"
-    d2 = glue_once(d1, periodic_from_skeleton(3, 2, GREEN), tag=2)
+    d2 = glue_once(d1, periodic_from_skeleton(3, 2, GREEN))
     assert d2.steps == "hvhvvhhhhvvvvvv"
-    d3 = glue_once(d2, periodic_from_skeleton(3, 2, RED), tag=3)
+    d3 = glue_once(d2, periodic_from_skeleton(3, 2, RED))
     assert d3.steps == "hvhvvhhhvhvvhhvvvvvv"
     green0 = AnchoredPath(3, 2, (2, 0),
                           periodic_from_skeleton(3, 2, GREEN).walk((2, 0), 5))
@@ -104,7 +108,7 @@ def test_glue_once_figure_steps():
 
 def test_self_gluing_extends_window():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5), (0,) * 5)
+    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5))
     doubled = glue_once(d0, blue)
     assert doubled.steps == blue.walk((2, 0), 10)
 
@@ -139,7 +143,7 @@ def test_glue_order_within_level_is_irrelevant():
                 for level_group in order:
                     for v in level_group:
                         cur = glue_once(
-                            cur, pfs(graph.n, graph.m, graph.labels[v]), tag=v)
+                            cur, pfs(graph.n, graph.m, graph.labels[v]))
                 assert cur.steps == reference
 
 
@@ -263,3 +267,86 @@ def test_step_rank_skeleton_correspondence():
             D = glue_all(graph)
             expected = sorted(x // params.d for x in skeleton(rep).values())
             assert sorted(step_ranks(params, D)) == expected
+
+
+def _paths_up_to(total):
+    for params in all_grid_params(total):
+        yield from enumerate_paths(params)
+
+
+def _reference_point_box_ranks(ap):
+    """Rank m*n - m - n - n*(a-1) - m*b of the box below-left of each point."""
+    n, m = ap.n, ap.m
+    return [m * n - m - n - n * (a - 1) - m * b for a, b in ap.points()]
+
+
+def _reference_good_intervals(path):
+    """Balanced windows (n vertical steps) whose ranks miss every earlier point."""
+    n, m = path.params.n, path.params.m
+    ranks = _reference_point_box_ranks(_anchored(path))
+    vcount = [0]
+    for s in path.steps:
+        vcount.append(vcount[-1] + (s == "v"))
+    out = []
+    for r in range(len(path.steps) - (n + m) + 1):
+        window = set(ranks[r:r + n + m])
+        if vcount[r + n + m] - vcount[r] == n and \
+                all(ranks[z] not in window for z in range(r)):
+            out.append(r)
+    return out
+
+
+def test_point_box_ranks_match_per_point_formula():
+    for D in _paths_up_to(14):
+        ap = _anchored(D)
+        assert ap.point_box_ranks() == _reference_point_box_ranks(ap), D.steps
+    off = AnchoredPath(3, 2, (5, -3), "hvhhvvvhv")
+    assert off.point_box_ranks() == _reference_point_box_ranks(off)
+
+
+def test_good_intervals_match_quadratic_definition():
+    for D in _paths_up_to(14):
+        assert good_intervals(D) == _reference_good_intervals(D), D.steps
+
+
+def test_ranks_unchanged_under_remove_interval():
+    for D in _paths_up_to(14):
+        n, m = D.params.n, D.params.m
+        ranks = _reference_point_box_ranks(_anchored(D))
+        for r in range(len(D.steps) - (n + m) + 1):
+            if D.steps[r:r + n + m].count("v") != n:
+                continue
+            smaller = remove_interval(D, r)
+            assert _reference_point_box_ranks(_anchored(smaller)) == \
+                ranks[:r] + ranks[r + n + m:], (D.steps, r)
+
+
+def test_components_match_diagram_oracle():
+    for D in _paths_up_to(14):
+        graph, colored = unglue(D)
+        for v, comp in enumerate(colored.components):
+            assert comp == component_oracle(D.params.n, D.params.m,
+                                            graph.labels[v]), (D.steps, v)
+
+
+def test_invariant_violation_survives_optimize():
+    # under -O the trailing assert is stripped, which shows -O is in effect
+    script = textwrap.dedent("""
+        import ratcat.glue as glue
+        from ratcat import GridParams, InvariantViolation, glue_all, parse_path, unglue
+        graph = unglue(parse_path("hvhv", GridParams(1, 1, 2)))[0]
+        glue.AnchoredPath.is_dyck = lambda self: False
+        try:
+            glue_all(graph)
+        except InvariantViolation as exc:
+            print("raised", type(exc).__name__)
+        assert False
+        print("optimized")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["raised", "InvariantViolation", "optimized"]
