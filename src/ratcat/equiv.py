@@ -11,7 +11,6 @@ equality of canonical forms of these digraphs decides equivalence.
 
 from __future__ import annotations
 
-import itertools
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -21,7 +20,6 @@ from .errors import (
     InvalidSkeleton,
     InvariantViolation,
     NotNormalized,
-    TooManyVertices,
 )
 from .invset import InvariantSet, Skeleton, gap, invset_from_skeleton, skeleton
 from .lattice import GridParams
@@ -229,30 +227,25 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
 def canonical_form(graph: LabeledDigraph) -> bytes:
     """Deterministic encoding invariant under label-preserving isomorphism.
 
-    Vertices are ordered so the labels are sorted; among the orderings
-    that only permute equal labels, the one minimizing (sorted edge
-    list, source index) wins.  The winner is serialized as compact JSON.
+    Vertices are ordered by (label, in-degree) and the reordered graph is
+    serialized once as compact JSON.  No two vertices share this key, so
+    the order is canonical: equal labels intersect, so in a validated
+    graph each group of equal labels is an acyclic tournament; and if
+    u -> v inside a group, every in-neighbour w of u also meets v, where
+    the edge v -> w would close the cycle w -> u -> v -> w, so w -> v and
+    in-degree(v) >= in-degree(u) + 1.
     """
-    if graph.d > 8:
-        raise TooManyVertices(f"canonical form capped at 8 vertices, got {graph.d}")
-    by_label = sorted(range(graph.d), key=lambda v: graph.labels[v])
-    groups = []
-    for v in by_label:
-        if groups and graph.labels[groups[-1][0]] == graph.labels[v]:
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    best = None
-    for perm_parts in itertools.product(*[itertools.permutations(g) for g in groups]):
-        order = [v for part in perm_parts for v in part]
-        pos = {old: new for new, old in enumerate(order)}
-        edges = sorted((pos[i], pos[j]) for (i, j) in graph.edges)
-        key = (edges, pos[graph.source])
-        if best is None or key < best:
-            best = key
-    payload = {"labels": [list(graph.labels[v]) for v in by_label],
-               "edges": [list(e) for e in best[0]],
-               "source": best[1]}
+    indeg = [0] * graph.d
+    for (_, j) in graph.edges:
+        indeg[j] += 1
+    keys = list(zip(graph.labels, indeg))
+    if len(set(keys)) != graph.d:
+        raise InvariantViolation(f"two vertices share label and in-degree in {graph}")
+    order = sorted(range(graph.d), key=keys.__getitem__)
+    pos = {old: new for new, old in enumerate(order)}
+    payload = {"labels": [list(graph.labels[v]) for v in order],
+               "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
+               "source": pos[graph.source]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 

@@ -45,10 +45,6 @@ class Infeasible(DomainError):
     """Shift-bound relaxation failed to stabilize (corrupted bounds)."""
 
 
-class TooManyVertices(DomainError):
-    """Canonicalization by permutation search is capped at 8 vertices."""
-
-
 class InvalidGraph(DomainError):
     """Labeled digraph violates the gluing-data membership conditions."""
 

@@ -9,26 +9,20 @@ construction and simultaneously colors the steps of the path by the
 vertex that contributed them.
 
 All paths here are carried as step strings plus an absolute anchor
-point, with the coprime rank function providing point membership; a
-path is always anchored so that its start sits at (m, 0), which makes
-window step ranks agree with the digraph labels.  No floating point is
-used anywhere.
+point, with the box rank of the n x m rectangle providing point
+membership; a path is always anchored so that its start sits at (m, 0),
+which makes window step ranks agree with the digraph labels.  No
+floating point is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .errors import InvalidGraph, InvariantViolation, NoIntersection, NotBalanced
 from .equiv import LabeledDigraph
 from .invset import invset_from_skeleton
-from .lattice import DyckPath, GridParams
-
-
-def coprime_rank(n: int, m: int, x: int, y: int) -> int:
-    """Rank m*n - m - n - n*x - m*y of the box (x, y) for d = 1."""
-    return m * n - m - n - n * x - m * y
+from .lattice import DyckPath, GridParams, box_rank
 
 
 def _good_positions(ranks: list[int], width: int) -> list[int]:
@@ -64,15 +58,13 @@ class PeriodicPath:
     gens: tuple[int, ...]  # generator per class mod n of the underlying subset
 
     def contains_point(self, a: int, b: int) -> bool:
-        return coprime_rank(self.n, self.m, a - 1, b) in self.skel
-
-    def step_at(self, a: int, b: int) -> str:
-        return self._walk_from_rank(coprime_rank(self.n, self.m, a - 1, b), 1)
+        return box_rank(GridParams(self.n, self.m), a - 1, b) in self.skel
 
     def walk(self, point: tuple[int, int], count: int) -> str:
         """The step string of the window starting at the given on-path point."""
         a, b = point
-        return self._walk_from_rank(coprime_rank(self.n, self.m, a - 1, b), count)
+        r = box_rank(GridParams(self.n, self.m), a - 1, b)
+        return self._walk_from_rank(r, count)
 
     def _walk_from_rank(self, r: int, count: int) -> str:
         n, m, skel, gens = self.n, self.m, self.skel, self.gens
@@ -130,8 +122,12 @@ class AnchoredPath:
         """
         n, m = self.n, self.m
         x, y = self.start
-        return list(accumulate(map({"h": n, "v": -m}.__getitem__, self.steps),
-                               initial=coprime_rank(n, m, x - 1, y)))
+        r = box_rank(GridParams(n, m), x - 1, y)
+        ranks = [r]
+        for s in self.steps:
+            r += n if s == "h" else -m
+            ranks.append(r)
+        return ranks
 
     def is_dyck(self) -> bool:
         """Weakly below the diagonal through its own start and end.

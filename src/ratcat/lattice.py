@@ -73,21 +73,21 @@ class DyckPath:
     steps: str
 
     def __post_init__(self):
-        p = self.params
-        if len(self.steps) != p.N + p.M:
+        N, M = self.params.N, self.params.M
+        if len(self.steps) != N + M:
             raise MalformedPath(
-                f"expected {p.N + p.M} steps, got {len(self.steps)}")
-        if self.steps.count("v") != p.N or self.steps.count("h") != p.M:
+                f"expected {N + M} steps, got {len(self.steps)}")
+        if self.steps.count("v") != N or self.steps.count("h") != M:
             raise MalformedPath(
-                f"expected {p.N} 'v' and {p.M} 'h' steps in {self.steps!r}")
-        x, y = p.M, 0
-        bound = p.N * p.M
+                f"expected {N} 'v' and {M} 'h' steps in {self.steps!r}")
+        x, y = M, 0
+        bound = N * M
         for s in self.steps:
             if s == "h":
                 x -= 1
             else:
                 y += 1
-            if p.N * x + p.M * y > bound:
+            if N * x + M * y > bound:
                 raise AboveDiagonal(f"{self.steps!r} crosses the diagonal")
         if self.steps and self.steps[-1] != "v":  # excluded by the diagonal constraint
             raise InvariantViolation(f"{self.steps!r} ends with a horizontal step")
@@ -160,19 +160,6 @@ def step_ranks(params: GridParams, path: DyckPath) -> list[int]:
     ranks = [-params.m]
     for s in path.steps[:-1]:
         ranks.append(ranks[-1] + (params.n if s == "h" else -params.m))
-    return ranks
-
-
-def step_ranks_from_boxes(params: GridParams, path: DyckPath) -> list[int]:
-    """Step ranks computed from adjacent boxes; must agree with step_ranks."""
-    ranks = []
-    x, y = params.M, 0
-    for s in path.steps:
-        ranks.append(box_rank(params, x - 1, y))
-        if s == "h":
-            x -= 1
-        else:
-            y += 1
     return ranks
 
 

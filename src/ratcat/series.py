@@ -10,7 +10,6 @@ exponential-formula path counts.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import factorial, gcd
 
@@ -22,6 +21,7 @@ from .lattice import (
     GridParams,
     area,
     enumerate_paths,
+    subdiagonal_box_count,
 )
 from .sweep import dinv_sweep
 
@@ -194,11 +194,16 @@ def F_series(n: int, deg_cutoff: int, restricted: bool = False) -> QTSeries:
         raise ValueError("n must be positive")
     poly = QTPoly()
     free = n - 1 if restricted else n
-    for head in itertools.product(range(deg_cutoff + 1), repeat=free):
-        a = head + (0,) if restricted else head
-        s = sum(a)
-        if s <= deg_cutoff:
-            poly.add_term(s, _tuple_stat(a))
+
+    def rec(head, left):
+        if len(head) == free:
+            a = head + (0,) if restricted else head
+            poly.add_term(deg_cutoff - left, _tuple_stat(a))
+            return
+        for k in range(left + 1):
+            rec(head + (k,), left - k)
+
+    rec((), deg_cutoff)
     return QTSeries(poly, deg_cutoff)
 
 
@@ -233,21 +238,10 @@ def fuss_catalan(N: int, k: int) -> int:
 def count_equivalence_classes(params: GridParams) -> int:
     """Number of distinct gluing digraphs over all invariant subsets.
 
-    Enumerates by increasing gap budget until the set of canonical forms
-    is unchanged for two consecutive increments.  Stabilization is
-    guaranteed because minimal representatives have gap at most the
-    sub-diagonal box count of the rectangle.
+    One enumeration at gap budget subdiagonal_box_count(params) meets
+    every class: the least gap in a class equals the area of the class's
+    glued Dyck path, and no area exceeds the sub-diagonal box count.
     """
-    forms: set[bytes] = set()
-    stable = 0
-    budget = 0
-    while stable < 2:
-        new = {canonical_form(build_graph(s))
-               for s in enumerate_invsets_by_gap(params, budget)}
-        if new == forms:
-            stable += 1
-        else:
-            forms = new
-            stable = 0
-        budget += 1
-    return len(forms)
+    budget = subdiagonal_box_count(params)
+    return len({canonical_form(build_graph(delta))
+                for delta in enumerate_invsets_by_gap(params, budget)})

@@ -413,15 +413,22 @@ SUITES = {
 
 
 def run_suite(name: str, max_size: int | None = None):
-    """Run one suite (or 'all'); returns (ok, lines)."""
-    if name == "all":
-        ok, lines = True, []
-        for key in SUITES:
-            good, sub = SUITES[key](max_size)
-            ok &= good
-            lines.extend(sub)
-        return ok, lines
-    if name not in SUITES:
+    """Run one suite (or 'all'); returns (ok, lines).
+
+    A suite that raises fails with the line
+    ``FAIL <suite>: raised <Type>: <message>``; 'all' goes on with the
+    remaining suites.
+    """
+    if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")
-    return SUITES[name](max_size)
+    ok, lines = True, []
+    for key in (SUITES if name == "all" else [name]):
+        try:
+            good, sub = SUITES[key](max_size)
+        except Exception as exc:
+            good, line = _result(key, False, f"raised {type(exc).__name__}: {exc}")
+            sub = [line]
+        ok &= good
+        lines.extend(sub)
+    return ok, lines

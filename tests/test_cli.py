@@ -105,6 +105,40 @@ def test_verify_suite_exit_codes(capsys):
     assert out.count("PASS") == 2
 
 
+def test_verify_suite_that_raises_fails(capsys, monkeypatch):
+    from ratcat import InvariantViolation, verify
+
+    def broken(max_size=None):
+        raise InvariantViolation("'vhv' crosses the diagonal")
+
+    monkeypatch.setitem(verify.SUITES, "coloring", broken)
+    code, out, err = run(capsys, "verify", "--suite", "coloring")
+    assert code == 2 and err == ""
+    assert out == "FAIL coloring: raised InvariantViolation: 'vhv' crosses the diagonal\n"
+    # 'all' reports the failure and still runs the other suites
+    monkeypatch.setattr(verify, "SUITES", {
+        "golden-zeta": verify.SUITES["golden-zeta"], "coloring": broken})
+    ok, lines = verify.run_suite("all")
+    assert not ok
+    assert lines == ["PASS zeta golden (5,3): hhvhvvvv -> hvhvhvvv",
+                     "PASS zeta golden (9,6): hvhvvhhhvhvvvvv -> hhhvvhvvvvhhvvv",
+                     "FAIL coloring: raised InvariantViolation: "
+                     "'vhv' crosses the diagonal"]
+
+
+@pytest.mark.parametrize("path, distinct_labels, min_gap", [
+    ("hhhhhhhhhvvvvvvvvv", 9, 36),  # a chain of nine labels
+    ("hvhvhvhvhvhvhvhvhv", 1, 0),  # nine equal labels
+])
+def test_classify_nine_vertices(capsys, path, distinct_labels, min_gap):
+    code, out, err = run(capsys, "classify", "--n", "1", "--m", "1", "--d", "9",
+                         "--path", path, "--format", "json")
+    assert code == 0 and err == ""
+    labels = json.loads(out)["graph"]["labels"]
+    assert len(labels) == 9 and len(set(map(tuple, labels))) == distinct_labels
+    assert json.loads(out)["min_gap"] == min_gap
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(capsys, "sweep", "zeta", "--n", "5", "--m", "3",
                        "--d", "1", "--path", "vvvvvhhh")

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,12 +7,13 @@ from ratcat import (
     GridParams,
     InvalidGraph,
     LabeledDigraph,
-    TooManyVertices,
     build_graph,
     canonical_form,
     enumerate_invsets_by_gap,
+    enumerate_paths,
     equivalent,
     gap,
+    glue_all,
     invset_from_generators,
     min_gap_in_class,
     minimal_representative,
@@ -19,8 +21,11 @@ from ratcat import (
     semigroup,
     shift_bounds,
     skeleton,
+    subdiagonal_box_count,
+    unglue,
 )
 from ratcat.invset import InvariantSet
+from ratcat.verify import all_grid_params
 
 P128 = GridParams(3, 2, 4)
 P64 = GridParams(3, 2, 2)
@@ -130,11 +135,85 @@ def test_canonical_form_golden():
     assert canonical_form(g1) != canonical_form(g2)
 
 
-def test_canonical_form_vertex_cap():
-    params = GridParams(1, 1, 9)
-    delta = InvariantSet(params, tuple(range(9)))
-    with pytest.raises(TooManyVertices):
-        canonical_form(build_graph(delta))
+def search_form(graph):
+    """Oracle: canonical form by permutation search.
+
+    Vertices are ordered so the labels are sorted; among the orderings
+    that only permute equal labels, the one minimizing (sorted edge
+    list, source index) wins.
+    """
+    by_label = sorted(range(graph.d), key=lambda v: graph.labels[v])
+    groups = [list(g) for _, g in
+              itertools.groupby(by_label, key=lambda v: graph.labels[v])]
+    best = None
+    for parts in itertools.product(*map(itertools.permutations, groups)):
+        pos = {old: new for new, old in
+               enumerate(v for part in parts for v in part)}
+        key = (sorted((pos[i], pos[j]) for (i, j) in graph.edges), pos[graph.source])
+        if best is None or key < best:
+            best = key
+    return [graph.labels[v] for v in by_label], best
+
+
+CENSUS_GRIDS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3),
+                (3, 1, 3), (1, 3, 3), (3, 2, 2), (5, 2, 2), (1, 1, 4), (1, 1, 5),
+                (3, 2, 3)]
+
+
+def oracle_graphs():
+    """unglue graphs for N+M <= 14 and build_graph graphs of the census grids."""
+    for params in all_grid_params(14):
+        for path in enumerate_paths(params):
+            yield unglue(path)[0]
+    for n, m, d in CENSUS_GRIDS:
+        params = GridParams(n, m, d)
+        for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params)):
+            yield build_graph(delta)
+
+
+def relabeled(graph, perm):
+    """The same graph with vertex v renamed perm[v]."""
+    labels = [None] * graph.d
+    for v, lbl in enumerate(graph.labels):
+        labels[perm[v]] = lbl
+    return LabeledDigraph(graph.n, graph.m, tuple(labels),
+                          frozenset((perm[i], perm[j]) for (i, j) in graph.edges),
+                          source=perm[graph.source])
+
+
+def test_canonical_form_matches_permutation_search():
+    # equal forms <=> equal searched forms, per grid
+    rng = random.Random(20171)
+    checked = relabelings = 0
+    by_grid: dict[tuple, dict] = {}
+    for graph in oracle_graphs():
+        form = canonical_form(graph)
+        if graph.d <= 6:
+            old = repr(search_form(graph))
+            by_grid.setdefault((graph.n, graph.m, graph.d), {}).setdefault(
+                form, set()).add(old)
+            checked += 1
+        if graph.d > 1 and rng.random() < 0.25:
+            perm = list(range(graph.d))
+            rng.shuffle(perm)
+            assert canonical_form(relabeled(graph, perm)) == form
+            relabelings += 1
+    for classes in by_grid.values():
+        assert all(len(olds) == 1 for olds in classes.values())
+        assert len(set().union(*classes.values())) == len(classes)
+    assert checked > 5000 and relabelings > 500
+
+
+def test_canonical_form_nine_equal_labels():
+    graph = build_graph(InvariantSet(GridParams(1, 1, 9), tuple(range(9))))
+    assert graph.d == 9 and len(set(graph.labels)) == 1
+    form = canonical_form(graph)
+    # the nine copies form a transitive tournament in in-degree order
+    assert form.startswith(b'{"edges":[[0,1],[0,2],')
+    perm = list(range(9))
+    random.Random(9).shuffle(perm)
+    assert canonical_form(relabeled(graph, perm)) == form
+    assert canonical_form(unglue(glue_all(graph))[0]) == form
 
 
 def test_minimal_representative_golden():

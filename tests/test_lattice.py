@@ -14,7 +14,6 @@ from ratcat import (
     step_ranks,
     subdiagonal_box_count,
 )
-from ratcat.lattice import step_ranks_from_boxes
 
 P53 = GridParams(5, 3, 1)
 P96 = GridParams(3, 2, 3)
@@ -64,6 +63,19 @@ def test_step_ranks_golden():
     assert step_ranks(P96, D) == [-2, 1, -1, 2, 0, -2, 1, 4, 7, 5, 8, 6, 4, 2, 0]
     p11 = GridParams(1, 1, 1)
     assert step_ranks(p11, parse_path("hv", p11)) == [-1, 0]
+
+
+def step_ranks_from_boxes(params, path):
+    """Oracle: each step ranked by the box to the left of its start point."""
+    ranks = []
+    x, y = params.M, 0
+    for s in path.steps:
+        ranks.append(box_rank(params, x - 1, y))
+        if s == "h":
+            x -= 1
+        else:
+            y += 1
+    return ranks
 
 
 def test_step_ranks_agree_with_box_definition():

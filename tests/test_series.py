@@ -66,6 +66,18 @@ def test_F_series_golden():
     assert F_series(1, 2).poly == QTPoly({(0, 0): 1, (1, 0): 1, (2, 0): 1})
 
 
+def test_F_series_matches_brute_force():
+    from itertools import product
+    from ratcat.series import _tuple_stat
+    for n in range(1, 5):
+        for restricted in (False, True):
+            expected = QTPoly()
+            for a in product(range(6), repeat=n):
+                if sum(a) <= 5 and (a[-1] == 0 or not restricted):
+                    expected.add_term(sum(a), _tuple_stat(a))
+            assert F_series(n, 5, restricted=restricted).poly == expected
+
+
 def test_F_series_cyclic_shift():
     one_minus_q = QTPoly({(0, 0): 1, (1, 0): -1})
     for n in range(1, 5):
@@ -100,7 +112,8 @@ def test_fuss_catalan():
 
 
 def test_class_counts():
-    cases = {(1, 1, 2): 2, (2, 1, 2): 3, (1, 2, 2): 3, (1, 1, 3): 5}
+    cases = {(1, 1, 2): 2, (2, 1, 2): 3, (1, 2, 2): 3, (1, 1, 3): 5,
+             (1, 1, 5): 42, (3, 2, 3): 377}
     for (n, m, d), expected in cases.items():
         params = GridParams(n, m, d)
         assert count_equivalence_classes(params) == expected
