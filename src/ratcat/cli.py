@@ -183,6 +183,8 @@ def cmd_poly(args) -> int:
 
 
 def cmd_series(args) -> int:
+    if args.cutoff < 0:
+        raise ValueError(f"--cutoff must be at least 0, got {args.cutoff}")
     if args.kind == "C":
         series = C_series(_params(args), args.cutoff)
     else:

@@ -12,8 +12,7 @@ equality of canonical forms of these digraphs decides equivalence.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from .errors import (
     Infeasible,
     InvalidGraph,
@@ -21,7 +20,14 @@ from .errors import (
     InvariantViolation,
     NotNormalized,
 )
-from .invset import InvariantSet, Skeleton, gap, invset_from_skeleton, skeleton
+from .invset import (
+    InvariantSet,
+    Skeleton,
+    coprime_from_skeleton,
+    gap,
+    invset_from_skeleton,
+    skeleton,
+)
 from .lattice import GridParams
 
 
@@ -40,22 +46,20 @@ class ShiftBounds:
 
 
 def shift_bounds(skel: Skeleton) -> ShiftBounds:
-    """Collision-distance matrix of the skeleton parts S_i = S mod d."""
-    parts = skel.parts_mod_d()
+    """Collision-distance matrix of the skeleton parts S_i = S mod d.
+
+    One sweep down the sorted skeleton keeps the next (least larger)
+    value of every part; each value x of part i is compared with those.
+    """
     d = skel.params.d
     btilde = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            best = None
-            for x in parts[i]:
-                k = bisect_right(parts[j], x)
-                if k < len(parts[j]):
-                    diff = parts[j][k] - x
-                    if best is None or diff < best:
-                        best = diff
-            btilde[i][j] = best
+    nxt: list[int | None] = [None] * d
+    for x, _, i in reversed(skel.entries):
+        row = btilde[i]
+        for j, y in enumerate(nxt):
+            if y is not None and j != i and (row[j] is None or y - x < row[j]):
+                row[j] = y - x
+        nxt[i] = x
     b = tuple(tuple(None if v is None else v - 1 for v in row) for row in btilde)
     return ShiftBounds(d, tuple(tuple(row) for row in btilde), b)
 
@@ -64,15 +68,18 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
     """Componentwise-least integral acceptable shifting (m[0] = 0).
 
     m_i is the largest total weight of a walk from i to 0 in the graph
-    with arc weights -b[next][current]; computed by d-1 rounds of
-    longest-path relaxation plus one verification round.  A change in
-    the verification round means the bounds admit a positive cycle,
-    which cannot happen for bounds derived from an actual skeleton.
+    with arc weights -b[next][current]; computed by rounds of longest-path
+    relaxation that stop at the first round with no change.  Without a
+    positive cycle every longest walk has at most d-1 arcs, so round d
+    changes nothing; a change in round d means the bounds admit a
+    positive cycle, which cannot happen for bounds derived from an
+    actual skeleton.
     """
     d, b = bounds.d, bounds.b
     v: list[int | None] = [None] * d
     v[0] = 0
-    for _ in range(max(d - 1, 1)):
+    for _ in range(d):
+        changed = False
         for i in range(1, d):
             for j in range(d):
                 if j == i or b[j][i] is None or v[j] is None:
@@ -80,13 +87,14 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
                 cand = v[j] - b[j][i]
                 if v[i] is None or cand > v[i]:
                     v[i] = cand
+                    changed = True
+        if not changed:
+            break
+    else:
+        raise Infeasible("relaxation failed to stabilize")
     for i in range(1, d):
         if v[i] is None:
             raise Infeasible(f"no finite bound chain from {i} to 0")
-        for j in range(d):
-            if j != i and b[j][i] is not None and v[j] is not None:
-                if v[j] - b[j][i] > v[i]:
-                    raise Infeasible("relaxation failed to stabilize")
     result = tuple(v)
     if any(x > 0 for x in result):
         raise InvariantViolation(f"minimal shifting {result} has a positive entry")
@@ -106,6 +114,11 @@ class LabeledDigraph:
     intersect as value sets exactly when the vertices are joined by an
     edge, the unique in-degree-0 vertex is the source, its label is
     0-normalized, and every label is non-negatively normalized.
+
+    Validation builds successor lists and in-degrees in one pass over the
+    edges; Kahn's algorithm from the source then both rejects cycles and
+    yields the longest-path levels, which levels() returns.  The levels
+    and the memoized canonical form are not compared, hashed or printed.
     """
 
     n: int
@@ -113,76 +126,69 @@ class LabeledDigraph:
     labels: tuple[tuple[int, ...], ...]
     edges: frozenset[tuple[int, int]]
     source: int = 0
+    _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _form: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labels",
-                           tuple(tuple(sorted(lbl)) for lbl in self.labels))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        d = len(self.labels)
+        labels = tuple(tuple(sorted(lbl)) for lbl in self.labels)
+        edges = frozenset(self.edges)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "edges", edges)
+        d = len(labels)
         if d < 1:
             raise InvalidGraph("need at least one vertex")
-        for (i, j) in self.edges:
+        succ: list[list[int]] = [[] for _ in range(d)]
+        indeg = [0] * d
+        for (i, j) in edges:
             if not (0 <= i < d and 0 <= j < d and i != j):
                 raise InvalidGraph(f"bad edge ({i}, {j})")
-        coprime = GridParams(self.n, self.m, 1)
-        for i, lbl in enumerate(self.labels):
+            succ[i].append(j)
+            indeg[j] += 1
+        for i, lbl in enumerate(labels):
             try:
-                rec = invset_from_skeleton(coprime, lbl)
+                rec = coprime_from_skeleton(self.n, self.m, lbl)
             except InvalidSkeleton as exc:
                 raise InvalidGraph(f"label {i} is not a skeleton: {exc}") from exc
             if rec.min_element() < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
             if i == self.source and rec.min_element() != 0:
                 raise InvalidGraph("source label must be 0-normalized")
+        sets = [set(lbl) for lbl in labels]
         for i in range(d):
             for j in range(i + 1, d):
-                meets = bool(set(self.labels[i]) & set(self.labels[j]))
-                joined = (i, j) in self.edges or (j, i) in self.edges
+                meets = not sets[i].isdisjoint(sets[j])
+                joined = (i, j) in edges or (j, i) in edges
                 if meets != joined:
                     raise InvalidGraph(
                         f"vertices {i},{j}: intersection and edge disagree")
-                if (i, j) in self.edges and (j, i) in self.edges:
+                if (i, j) in edges and (j, i) in edges:
                     raise InvalidGraph(f"double edge between {i} and {j}")
-        indeg = [0] * d
-        for (_, j) in self.edges:
-            indeg[j] += 1
         sources = [i for i in range(d) if indeg[i] == 0]
         if sources != [self.source]:
             raise InvalidGraph(f"in-degree-0 vertices {sources}, "
                                f"expected exactly the source {self.source}")
-        if self._toposort() is None:
+        # Kahn: a vertex leaves the queue after all its predecessors, so
+        # its level is final then; a vertex on a cycle never enters it.
+        level = [0] * d
+        queue = [self.source]
+        for i in queue:
+            for j in succ[i]:
+                if level[j] <= level[i]:
+                    level[j] = level[i] + 1
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    queue.append(j)
+        if len(queue) != d:
             raise InvalidGraph("digraph has a cycle")
+        object.__setattr__(self, "_levels", tuple(level))
 
     @property
     def d(self) -> int:
         return len(self.labels)
 
-    def _toposort(self) -> list[int] | None:
-        d = self.d
-        indeg = [0] * d
-        for (_, j) in self.edges:
-            indeg[j] += 1
-        queue = [i for i in range(d) if indeg[i] == 0]
-        order = []
-        while queue:
-            i = queue.pop()
-            order.append(i)
-            for (a, b) in self.edges:
-                if a == i:
-                    indeg[b] -= 1
-                    if indeg[b] == 0:
-                        queue.append(b)
-        return order if len(order) == d else None
-
     def levels(self) -> tuple[int, ...]:
         """Length of the longest directed path from the source to each vertex."""
-        order = self._toposort()
-        f = [0] * self.d
-        for i in order:
-            for (a, b) in self.edges:
-                if a == i:
-                    f[b] = max(f[b], f[i] + 1)
-        return tuple(f)
+        return self._levels
 
     def to_jsonable(self) -> dict:
         return {"labels": [list(lbl) for lbl in self.labels],
@@ -208,15 +214,15 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
     mvec = minimal_shifting(shift_bounds(sk))
     f = tuple((i + mvec[i]) % d for i in range(d))
     labels = tuple(tuple((x + mvec[i]) // d for x in parts[i]) for i in range(d))
+    sets = [set(lbl) for lbl in labels]
     edges = set()
     for i in range(d):
-        for j in range(d):
-            if i != j and set(labels[i]) & set(labels[j]):
+        for j in range(i + 1, d):
+            if not sets[i].isdisjoint(sets[j]):
                 if f[i] == f[j]:
                     raise InvariantViolation(
                         f"intersecting parts {i}, {j} on the same level")
-                if f[i] < f[j]:
-                    edges.add((i, j))
+                edges.add((i, j) if f[i] < f[j] else (j, i))
     graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges), source=0)
     if graph.levels() != f:
         raise InvariantViolation(
@@ -233,8 +239,10 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     graph each group of equal labels is an acyclic tournament; and if
     u -> v inside a group, every in-neighbour w of u also meets v, where
     the edge v -> w would close the cycle w -> u -> v -> w, so w -> v and
-    in-degree(v) >= in-degree(u) + 1.
+    in-degree(v) >= in-degree(u) + 1.  The form is memoized on the graph.
     """
+    if graph._form is not None:
+        return graph._form
     indeg = [0] * graph.d
     for (_, j) in graph.edges:
         indeg[j] += 1
@@ -246,7 +254,9 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     payload = {"labels": [list(graph.labels[v]) for v in order],
                "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
                "source": pos[graph.source]}
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+    form = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+    object.__setattr__(graph, "_form", form)
+    return form
 
 
 def minimal_representative(graph: LabeledDigraph) -> InvariantSet:

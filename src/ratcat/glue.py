@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidGraph, InvariantViolation, NoIntersection, NotBalanced
 from .equiv import LabeledDigraph
-from .invset import invset_from_skeleton
+from .invset import coprime_from_skeleton
 from .lattice import DyckPath, GridParams, box_rank
 
 
@@ -83,8 +83,8 @@ class PeriodicPath:
 
 def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     """Periodic path of the skeleton given by an iterable of n+m ranks."""
-    delta = invset_from_skeleton(GridParams(n, m, 1), sorted(values))
-    return PeriodicPath(n, m, frozenset(values), delta.gen)
+    label = tuple(sorted(values))
+    return PeriodicPath(n, m, frozenset(label), coprime_from_skeleton(n, m, label).gen)
 
 
 def paths_intersect(p: PeriodicPath, q: PeriodicPath) -> bool:

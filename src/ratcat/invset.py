@@ -12,6 +12,8 @@ what makes a subset reconstructible from its skeleton.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     EmptyInput,
@@ -74,8 +76,7 @@ class InvariantSet:
         return {"n": p.n, "m": p.m, "d": p.d, "generators": sorted(self.gen)}
 
 
-@dataclass(frozen=True)
-class SkeletonEntry:
+class SkeletonEntry(NamedTuple):
     value: int
     kind: str
     residue: int
@@ -169,7 +170,7 @@ def skeleton(delta: InvariantSet) -> Skeleton:
     entries = [SkeletonEntry(v, KIND_GENERATOR, v % d) for v in delta.gen]
     entries += [SkeletonEntry(v, KIND_COGENERATOR, v % d)
                 for v in cogenerators_m(delta)]
-    entries.sort(key=lambda e: e.value)
+    entries.sort()  # by value: skeleton values are distinct
     return Skeleton(delta.params, tuple(entries))
 
 
@@ -198,6 +199,17 @@ def invset_from_skeleton(params: GridParams, values) -> InvariantSet:
     if sorted(gen + cogenerators_m(delta)) != values:
         raise InvalidSkeleton(f"{values} is not a skeleton")
     return delta
+
+
+@lru_cache(maxsize=4096)
+def coprime_from_skeleton(n: int, m: int, label: tuple[int, ...]) -> InvariantSet:
+    """invset_from_skeleton(GridParams(n, m, 1), label), memoized.
+
+    Gluing graphs reuse few distinct labels, and each one is checked in
+    full on its first call.  A label that is not a skeleton raises on
+    every call, because lru_cache does not cache exceptions.
+    """
+    return invset_from_skeleton(GridParams(n, m, 1), label)
 
 
 def map_D_coprime(delta: InvariantSet) -> DyckPath:

@@ -78,7 +78,7 @@ def suite_golden_zeta(max_size: int | None = None):
 
 
 def suite_zeta_bijective(max_size: int | None = None):
-    max_size = max_size or 14
+    max_size = 14 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         paths = enumerate_paths(params)
@@ -92,7 +92,7 @@ def suite_zeta_bijective(max_size: int | None = None):
 
 
 def suite_factorization(max_size: int | None = None):
-    max_size = max_size or 14
+    max_size = 14 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         good = all(
@@ -107,7 +107,7 @@ def suite_factorization(max_size: int | None = None):
 
 
 def suite_dinv_agreement(max_size: int | None = None):
-    max_size = max_size or 14
+    max_size = 14 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         good = all(dinv_sweep(params, d) == dinv_armleg(params, d)
@@ -120,7 +120,7 @@ def suite_dinv_agreement(max_size: int | None = None):
 
 
 def suite_round_trips(max_size: int | None = None):
-    max_size = max_size or 15
+    max_size = 15 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         path_ok = True
@@ -209,7 +209,7 @@ def suite_worked_12_8(max_size: int | None = None):
 
 
 def suite_counting(max_size: int | None = None):
-    max_size = max_size or 14
+    max_size = 14 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         count = len(enumerate_paths(params))
@@ -303,7 +303,7 @@ def suite_series(max_size: int | None = None):
 
 
 def suite_coprime_structure(max_size: int | None = None):
-    max_size = max_size or 12
+    max_size = 12 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         if params.d != 1:
@@ -325,7 +325,7 @@ def suite_coprime_structure(max_size: int | None = None):
 
 
 def suite_coloring(max_size: int | None = None):
-    max_size = max_size or 14
+    max_size = 14 if max_size is None else max_size
     lines, ok = [], True
     for params in all_grid_params(max_size):
         n, m = params.n, params.m
@@ -417,11 +417,14 @@ def run_suite(name: str, max_size: int | None = None):
 
     A suite that raises fails with the line
     ``FAIL <suite>: raised <Type>: <message>``; 'all' goes on with the
-    remaining suites.
+    remaining suites.  max_size below 2 is rejected: no grid has
+    N + M < 2, so the sized suites would check nothing and pass.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")
+    if max_size is not None and max_size < 2:
+        raise ValueError(f"max_size must be at least 2, got {max_size}")
     ok, lines = True, []
     for key in (SUITES if name == "all" else [name]):
         try:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -178,3 +182,41 @@ def test_nonpositive_d_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: --d must be at least 1, got {argv[argv.index('--d') + 1]}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suite", "round-trips", "--max-size", "1"),
+     "max_size must be at least 2, got 1"),
+    (("verify", "--suite", "all", "--max-size", "0"),
+     "max_size must be at least 2, got 0"),
+    (("series", "F", "--size", "2", "--cutoff", "-1"),
+     "--cutoff must be at least 0, got -1"),
+    (("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "-3"),
+     "--cutoff must be at least 0, got -3"),
+])
+def test_empty_ranges_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_verify_smallest_max_size_checks_a_grid(capsys):
+    from ratcat import verify
+
+    with pytest.raises(ValueError, match="max_size must be at least 2, got 1"):
+        verify.run_suite("coloring", 1)
+    code, out, _ = run(capsys, "verify", "--suite", "round-trips", "--max-size", "2")
+    assert code == 0
+    assert out.splitlines() == ["PASS B o B^-1 = id on Y_(1,1)",
+                                "PASS B^-1 o B canonical-equal on graphs of Y_(1,1)"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ratcat", "count", "bizley", "--n", "1", "--m", "1",
+         "--d", "3"], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "5\n"

@@ -5,8 +5,10 @@ import pytest
 
 from ratcat import (
     GridParams,
+    Infeasible,
     InvalidGraph,
     LabeledDigraph,
+    ShiftBounds,
     build_graph,
     canonical_form,
     enumerate_invsets_by_gap,
@@ -293,13 +295,144 @@ def test_census_matches_canonical_classes():
 
 def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     import ratcat.equiv as equiv
+    import ratcat.invset as invset
 
     def broken(params, values):
         raise ZeroDivisionError("bug inside the skeleton reconstruction")
 
     graph = left_graph()
+    # the label check reaches invset_from_skeleton through the memo
+    invset.coprime_from_skeleton.cache_clear()
+    monkeypatch.setattr(invset, "invset_from_skeleton", broken)
     monkeypatch.setattr(equiv, "invset_from_skeleton", broken)
+    with pytest.raises(ZeroDivisionError):
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges, graph.source)
+    # errors are not cached: the same labels raise again
     with pytest.raises(ZeroDivisionError):
         LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges, graph.source)
     with pytest.raises(ZeroDivisionError):
         minimal_representative(graph)
+
+
+# -- the pre-Kahn validation and the per-pair bounds, kept as oracles --------
+
+def oracle_levels(graph):
+    """Longest-path levels by a topological sort that rescans every edge."""
+    d = graph.d
+    indeg = [0] * d
+    for (_, j) in graph.edges:
+        indeg[j] += 1
+    queue = [i for i in range(d) if indeg[i] == 0]
+    order = []
+    while queue:
+        i = queue.pop()
+        order.append(i)
+        for (a, b) in graph.edges:
+            if a == i:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    queue.append(b)
+    assert len(order) == d
+    f = [0] * d
+    for i in order:
+        for (a, b) in graph.edges:
+            if a == i:
+                f[b] = max(f[b], f[i] + 1)
+    return tuple(f)
+
+
+def oracle_btilde(skel):
+    """Collision distances by a bisect per value and ordered pair of parts."""
+    from bisect import bisect_right
+    parts = skel.parts_mod_d()
+    d = skel.params.d
+    btilde = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            for x in parts[i]:
+                k = bisect_right(parts[j], x)
+                if k < len(parts[j]):
+                    diff = parts[j][k] - x
+                    if btilde[i][j] is None or diff < btilde[i][j]:
+                        btilde[i][j] = diff
+    return tuple(map(tuple, btilde))
+
+
+def oracle_minimal_shifting(bounds):
+    """d-1 rounds of relaxation, then one verification round."""
+    d, b = bounds.d, bounds.b
+    v = [None] * d
+    v[0] = 0
+    for _ in range(max(d - 1, 1)):
+        for i in range(1, d):
+            for j in range(d):
+                if j == i or b[j][i] is None or v[j] is None:
+                    continue
+                cand = v[j] - b[j][i]
+                if v[i] is None or cand > v[i]:
+                    v[i] = cand
+    for i in range(1, d):
+        if v[i] is None:
+            raise Infeasible(f"no finite bound chain from {i} to 0")
+        for j in range(d):
+            if j != i and b[j][i] is not None and v[j] is not None:
+                if v[j] - b[j][i] > v[i]:
+                    raise Infeasible("relaxation failed to stabilize")
+    return tuple(v)
+
+
+def check_against_oracles(delta):
+    sk = skeleton(delta)
+    bounds = shift_bounds(sk)
+    assert bounds.btilde == oracle_btilde(sk)
+    assert minimal_shifting(bounds) == oracle_minimal_shifting(bounds)
+    graph = build_graph(delta)
+    assert graph.levels() == oracle_levels(graph)
+
+
+def test_levels_and_bounds_match_oracles():
+    graphs = census = 0
+    for params in all_grid_params(14):
+        for path in enumerate_paths(params):
+            graph = unglue(path)[0]
+            assert graph.levels() == oracle_levels(graph)
+            check_against_oracles(minimal_representative(graph))
+            graphs += 1
+    for n, m, d in CENSUS_GRIDS:
+        params = GridParams(n, m, d)
+        for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params)):
+            check_against_oracles(delta)
+            census += 1
+    assert graphs == 2905 and census == 3184
+
+
+def test_positive_cycle_is_infeasible():
+    # a1 - a2 <= -1 and a2 - a1 <= -1 cannot both hold; 0 reaches the cycle
+    b = ((None, 0, None), (None, None, -1), (None, -1, None))
+    btilde = tuple(tuple(None if x is None else x + 1 for x in row) for row in b)
+    bounds = ShiftBounds(3, btilde, b)
+    with pytest.raises(Infeasible, match="failed to stabilize"):
+        minimal_shifting(bounds)
+    with pytest.raises(Infeasible):
+        oracle_minimal_shifting(bounds)
+
+
+def test_cycle_and_double_edge_rejected():
+    zero = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
+    with pytest.raises(InvalidGraph, match="cycle"):
+        LabeledDigraph(1, 1, labels=(zero,) * 4, source=0,
+                       edges={(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)})
+    with pytest.raises(InvalidGraph, match="double edge"):
+        LabeledDigraph(1, 1, labels=(zero, zero), edges={(0, 1), (1, 0)}, source=0)
+
+
+def test_cached_fields_do_not_change_identity():
+    graph, fresh = left_graph(), left_graph()
+    assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
+    assert graph.levels() == (0, 1, 1, 2)
+    form = canonical_form(graph)
+    assert graph._form == form and fresh._form is None
+    assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
+    assert "_levels" not in repr(graph) and "_form" not in repr(graph)
