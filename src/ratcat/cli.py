@@ -13,7 +13,7 @@ import sys
 
 from . import verify
 from .equiv import canonical_form, minimal_representative
-from .errors import DomainError
+from .errors import DomainError, NotCoprimeCase
 from .glue import unglue
 from .invset import (
     cogenerators_m,
@@ -171,10 +171,13 @@ def cmd_color(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    params = _params(args)
     if args.kind == "catalan":
-        poly = qt_catalan(_params(args))
+        poly = qt_catalan(params)
+    elif params.d != 1:
+        raise NotCoprimeCase(f"the Springer polynomial needs --d 1, got {params.d}")
     else:
-        poly = springer_poincare(args.n, args.m)
+        poly = springer_poincare(params.n, params.m)
     if args.format == "json":
         print(_dump(poly.to_jsonable()))
     else:
@@ -186,6 +189,8 @@ def cmd_series(args) -> int:
     if args.cutoff < 0:
         raise ValueError(f"--cutoff must be at least 0, got {args.cutoff}")
     if args.kind == "C":
+        if args.restricted:
+            raise ValueError("--restricted applies to the F series only")
         series = C_series(_params(args), args.cutoff)
     else:
         series = F_series(args.size, args.cutoff, restricted=args.restricted)

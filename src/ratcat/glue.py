@@ -1,28 +1,40 @@
 """Gluing periodic paths into Dyck paths and taking them apart again.
 
-Every coprime skeleton determines an (n, m)-periodic lattice path: the
-path passes through a point (a, b) exactly when the box with that point
-at its bottom-right corner has rank in the skeleton.  Gluing splices
-length-(n+m) windows of such paths into a growing Dyck path, one level
-of the gluing digraph at a time; removal of good intervals inverts the
-construction and simultaneously colors the steps of the path by the
-vertex that contributed them.
+Every coprime skeleton determines an (n, m)-periodic lattice path: a
+point lies on the path exactly when its rank belongs to the skeleton.
+Gluing splices length-(n+m) windows of such paths into a growing Dyck
+path, one level of the gluing digraph at a time; removal of good
+intervals inverts the construction and simultaneously colors the steps
+of the path by the vertex that contributed them.
 
-All paths here are carried as step strings plus an absolute anchor
-point, with the box rank of the n x m rectangle providing point
-membership; a path is always anchored so that its start sits at (m, 0),
-which makes window step ranks agree with the digraph labels.  No
-floating point is used anywhere.
+Paths are plain step strings, and a point is known only by its rank:
+lattice.step_ranks gives the rank of the point each step leaves, and the
+end point of a path has the rank -m of its start.  These are the ranks
+of the digraph labels, so no coordinates are needed.  No floating point
+is used anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidGraph, InvariantViolation, NoIntersection, NotBalanced
+from .errors import (
+    DomainError,
+    InvalidGraph,
+    InvariantViolation,
+    NoIntersection,
+    NotBalanced,
+)
 from .equiv import LabeledDigraph
 from .invset import coprime_from_skeleton
-from .lattice import DyckPath, GridParams, box_rank
+from .lattice import DyckPath, GridParams, step_ranks
+
+
+def _point_ranks(path: DyckPath) -> list[int]:
+    """Rank of every point of the path, from its start to its end."""
+    ranks = step_ranks(path.params, path)
+    ranks.append(-path.params.m)
+    return ranks
 
 
 def _good_positions(ranks: list[int], width: int) -> list[int]:
@@ -42,14 +54,30 @@ def _good_positions(ranks: list[int], width: int) -> list[int]:
     return out
 
 
+def _window_width(path: DyckPath, r: int) -> int:
+    """n+m, once a window of that many steps is known to start at r."""
+    width = path.params.n + path.params.m
+    if not 0 <= r <= len(path.steps) - width:
+        raise NotBalanced(f"no window of {width} steps of {path.steps!r} starts at {r}")
+    return width
+
+
+def _glued(params: GridParams, steps: str) -> DyckPath:
+    """The Dyck path of a glued step string; any other outcome is a bug."""
+    try:
+        return DyckPath(params, steps)
+    except DomainError as exc:
+        raise InvariantViolation(f"gluing produced {steps!r}, not a Dyck path: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class PeriodicPath:
     """(n, m)-periodic boundary path of a possibly shifted invariant subset.
 
-    skel holds the n+m step ranks of any fundamental window; a lattice
-    point (a, b) lies on the path iff the rank of the box (a-1, b)
-    belongs to skel, and the outgoing step at that point is vertical
-    exactly when that rank is a generator of the underlying subset.
+    skel holds the n+m step ranks of any fundamental window; a point lies
+    on the path iff its rank belongs to skel, and the outgoing step at
+    that point is vertical exactly when the rank is a generator of the
+    underlying subset.
     """
 
     n: int
@@ -57,19 +85,11 @@ class PeriodicPath:
     skel: frozenset[int]
     gens: tuple[int, ...]  # generator per class mod n of the underlying subset
 
-    def contains_point(self, a: int, b: int) -> bool:
-        return box_rank(GridParams(self.n, self.m), a - 1, b) in self.skel
-
-    def walk(self, point: tuple[int, int], count: int) -> str:
-        """The step string of the window starting at the given on-path point."""
-        a, b = point
-        r = box_rank(GridParams(self.n, self.m), a - 1, b)
-        return self._walk_from_rank(r, count)
-
-    def _walk_from_rank(self, r: int, count: int) -> str:
+    def window(self, r: int) -> str:
+        """The fundamental window that starts at the point of rank r."""
         n, m, skel, gens = self.n, self.m, self.skel, self.gens
         steps = []
-        for _ in range(count):
+        for _ in range(n + m):
             if r not in skel:
                 raise NoIntersection(f"no point of rank {r} is on the path")
             if gens[r % n] == r:
@@ -87,118 +107,43 @@ def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     return PeriodicPath(n, m, frozenset(label), coprime_from_skeleton(n, m, label).gen)
 
 
-def paths_intersect(p: PeriodicPath, q: PeriodicPath) -> bool:
-    """Two periodic paths meet iff their skeletons share a value."""
-    if (p.n, p.m) != (q.n, q.m):
-        raise ValueError("paths must share the same slope")
-    return bool(p.skel & q.skel)
-
-
-@dataclass(frozen=True)
-class AnchoredPath:
-    """A step string pinned to the plane by its start point."""
-
-    n: int
-    m: int
-    start: tuple[int, int]
-    steps: str
-
-    def points(self) -> list[tuple[int, int]]:
-        x, y = self.start
-        pts = [(x, y)]
-        for s in self.steps:
-            if s == "h":
-                x -= 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return pts
-
-    def point_box_ranks(self) -> list[int]:
-        """Rank of the box below-left of every visited point.
-
-        Walked from the start: an 'h' step moves the point to x - 1 and
-        adds n to the rank, a 'v' step moves it to y + 1 and subtracts m.
-        """
-        n, m = self.n, self.m
-        x, y = self.start
-        r = box_rank(GridParams(n, m), x - 1, y)
-        ranks = [r]
-        for s in self.steps:
-            r += n if s == "h" else -m
-            ranks.append(r)
-        return ranks
-
-    def is_dyck(self) -> bool:
-        """Weakly below the diagonal through its own start and end.
-
-        A point (x, y) satisfies n*x + m*y <= n*x0 + m*y0 exactly when its
-        box rank is at least the rank at the start (x0, y0).
-        """
-        k, rem = divmod(len(self.steps), self.n + self.m)
-        if rem or self.steps.count("v") != k * self.n:
-            return False
-        ranks = self.point_box_ranks()
-        return min(ranks) >= ranks[0]
-
-
-def _anchored(path: DyckPath) -> AnchoredPath:
-    """Anchor a Dyck path with its start at (m, 0).
-
-    With this anchor the coprime box ranks along the path coincide with
-    the rank labels of the N x M rectangle, so window skeletons read off
-    an anchored path are directly comparable with digraph labels.
-    """
-    p = path.params
-    return AnchoredPath(p.n, p.m, (p.m, 0), path.steps)
-
-
-def glue_once(dhat: AnchoredPath, periodic: PeriodicPath) -> AnchoredPath:
+def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
     """Splice one fundamental window of a periodic path into dhat.
 
     The window enters at the first point of dhat (in path order) lying
     on the periodic path; the remainder of dhat continues after the
-    window, which amounts to translating it by (-m, n).
+    window, which amounts to translating it by (-m, n).  The end point
+    of dhat has the rank of its start, so only step ranks are searched.
     """
     skel = periodic.skel
-    for cut, r in enumerate(dhat.point_box_ranks()):
+    for cut, r in enumerate(step_ranks(dhat.params, dhat)):
         if r in skel:
             break
     else:
         raise NoIntersection("the periodic path misses the current path")
-    window = periodic._walk_from_rank(r, periodic.n + periodic.m)
-    out = AnchoredPath(dhat.n, dhat.m, dhat.start,
-                       dhat.steps[:cut] + window + dhat.steps[cut:])
-    if not out.is_dyck():
-        raise InvariantViolation(f"gluing produced {out.steps!r}, not a Dyck path")
-    return out
-
-
-def _glue_all_anchored(graph: LabeledDigraph) -> AnchoredPath:
-    n, m = graph.n, graph.m
-    f = graph.levels()
-    src_label = graph.labels[graph.source]
-    src = periodic_from_skeleton(n, m, src_label)
-    start = (m, 0)
-    if not src.contains_point(*start):
-        raise InvalidGraph("source label is not 0-normalized")
-    cur = AnchoredPath(n, m, start, src.walk(start, n + m))
-    for level in range(1, max(f, default=0) + 1):
-        for v in range(graph.d):
-            if f[v] == level:
-                cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
-    return cur
+    p = dhat.params
+    return _glued(GridParams(p.n, p.m, p.d + 1),
+                  dhat.steps[:cut] + periodic.window(r) + dhat.steps[cut:])
 
 
 def glue_all(graph: LabeledDigraph) -> DyckPath:
     """Assemble the Dyck path of a gluing digraph, one level at a time.
 
     Within a level the order of gluing does not matter; vertices are
-    processed in index order.  The result is returned in the standard
-    rectangle position, start at (M, 0).
+    processed in index order.  The source window starts at the point of
+    rank -m, the start of every Dyck path.
     """
-    cur = _glue_all_anchored(graph)
-    return DyckPath(GridParams(graph.n, graph.m, graph.d), cur.steps)
+    n, m = graph.n, graph.m
+    f = graph.levels()
+    src = periodic_from_skeleton(n, m, graph.labels[graph.source])
+    if -m not in src.skel:
+        raise InvalidGraph("source label is not 0-normalized")
+    cur = _glued(GridParams(n, m, 1), src.window(-m))
+    for level in range(1, max(f, default=0) + 1):
+        for v in range(graph.d):
+            if f[v] == level:
+                cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
+    return cur
 
 
 def good_intervals(path: DyckPath) -> list[int]:
@@ -211,24 +156,23 @@ def good_intervals(path: DyckPath) -> list[int]:
     closest to the start is always good.
     """
     p = path.params
-    return _good_positions(_anchored(path).point_box_ranks(), p.n + p.m)
+    return _good_positions(_point_ranks(path), p.n + p.m)
 
 
 def window_skeleton(path: DyckPath, r: int) -> frozenset[int]:
     """Step ranks of the n+m steps starting at position r."""
-    p = path.params
-    return frozenset(_anchored(path).point_box_ranks()[r:r + p.n + p.m])
+    width = _window_width(path, r)
+    return frozenset(step_ranks(path.params, path)[r:r + width])
 
 
 def remove_interval(path: DyckPath, r: int) -> DyckPath:
     """Remove a balanced interval, translating the tail by (m, -n)."""
     p = path.params
-    n, m = p.n, p.m
-    window = path.steps[r:r + n + m]
-    if len(window) != n + m or window.count("v") != n:
-        raise NotBalanced(f"steps [{r}, {r + n + m}) are not balanced")
-    return DyckPath(GridParams(n, m, p.d - 1),
-                    path.steps[:r] + path.steps[r + n + m:])
+    width = _window_width(path, r)
+    if path.steps.count("v", r, r + width) != p.n:
+        raise NotBalanced(f"steps [{r}, {r + width}) are not balanced")
+    return DyckPath(GridParams(p.n, p.m, p.d - 1),
+                    path.steps[:r] + path.steps[r + width:])
 
 
 @dataclass(frozen=True)
@@ -279,8 +223,8 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     total = len(path.steps)
     if not total:
         raise ValueError("cannot unglue the empty path")
-    step_ranks = _anchored(path).point_box_ranks()
-    ranks = list(step_ranks)
+    point_ranks = _point_ranks(path)
+    ranks = list(point_ranks)
     orig = list(range(total))
     provisional = [None] * total
     batches: list[list[frozenset[int]]] = []
@@ -330,12 +274,12 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
         word = "".join([path.steps[z] for z in cls])
         if len(word) != width or word.count("v") != n:
             raise InvariantViolation(f"color class {v} of {path.steps!r} is not balanced")
-        if tuple(sorted([step_ranks[z] for z in cls])) != labels[v]:
+        if tuple(sorted([point_ranks[z] for z in cls])) != labels[v]:
             raise InvariantViolation(
                 f"color class {v} of {path.steps!r} does not carry each "
                 "skeleton rank exactly once")
         components.append(DyckPath(coprime, _rotation_below_diagonal(word, n, m)))
-    _check_run_translations(path, colors, n, m)
+    _check_run_translations(path, colors, point_ranks)
     return graph, ColoredPath(path, colors, tuple(components))
 
 
@@ -353,27 +297,18 @@ def _rotation_below_diagonal(word: str, n: int, m: int) -> str:
     return word[cut:] + word[:cut]
 
 
-def _check_run_translations(path: DyckPath, colors, n: int, m: int) -> None:
-    """Consecutive same-color steps reconnect after translating by k*(-m, n)."""
-    pts = path.points()
-    last_end: dict[int, tuple[int, int]] = {}
+def _check_run_translations(path: DyckPath, colors, ranks: list[int]) -> None:
+    """Consecutive same-color steps reconnect after translating by k*(-m, n).
+
+    ranks are the point ranks of the path.  A later point differs from an
+    earlier one by such a translation exactly when the two have the same
+    rank: equal ranks mean n*dx + m*dy = 0, x never grows along a path,
+    and gcd(n, m) = 1 makes m divide dx.
+    """
+    last_end: dict[int, int] = {}
     for z, c in enumerate(colors):
-        sx, sy = pts[z]
-        if c in last_end:
-            ex, ey = last_end[c]
-            dx, dy = sx - ex, sy - ey
-            if not (dx * n + dy * m == 0 and dx <= 0 and (-dx) % m == 0):
-                raise InvariantViolation(
-                    f"color {c} of {path.steps!r}: runs differ by ({dx}, {dy}), "
-                    "not a multiple of (-m, n)")
-        last_end[c] = pts[z + 1]
-
-
-def map_D(graph: LabeledDigraph) -> DyckPath:
-    """The bijection from gluing data to Dyck paths (glue_all)."""
-    return glue_all(graph)
-
-
-def map_D_inverse(path: DyckPath) -> LabeledDigraph:
-    """The inverse bijection (first component of unglue)."""
-    return unglue(path)[0]
+        if c in last_end and ranks[z] != last_end[c]:
+            raise InvariantViolation(
+                f"color {c} of {path.steps!r}: step {z} starts at rank {ranks[z]}, "
+                f"not at rank {last_end[c]} where the color's last run ended")
+        last_end[c] = ranks[z + 1]

@@ -95,18 +95,6 @@ class DyckPath:
     def __str__(self) -> str:
         return self.steps
 
-    def points(self) -> list[tuple[int, int]]:
-        """All N+M+1 lattice points visited, from (M, 0) to (0, N)."""
-        x, y = self.params.M, 0
-        pts = [(x, y)]
-        for s in self.steps:
-            if s == "h":
-                x -= 1
-            else:
-                y += 1
-            pts.append((x, y))
-        return pts
-
     def row_lengths(self) -> list[int]:
         """Row lengths of the Young diagram: x-position of the v step in each row."""
         rows = []

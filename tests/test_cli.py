@@ -200,6 +200,18 @@ def test_empty_ranges_rejected(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("poly", "springer", "--n", "3", "--m", "5", "--d", "2"),
+     "the Springer polynomial needs --d 1, got 2"),
+    (("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "3", "--restricted"),
+     "--restricted applies to the F series only"),
+])
+def test_ignored_flags_rejected(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_smallest_max_size_checks_a_grid(capsys):
     from ratcat import verify
 

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from ratcat import (
+    DyckPath,
     GridParams,
     InvalidSkeleton,
+    InvariantViolation,
     LabeledDigraph,
     NoIntersection,
     NotBalanced,
@@ -19,18 +21,17 @@ from ratcat import (
     gap,
     glue_all,
     good_intervals,
-    map_D,
-    map_D_inverse,
     map_D_coprime,
     minimal_representative,
-    paths_intersect,
     periodic_from_skeleton,
     remove_interval,
     semigroup,
+    step_ranks,
     unglue,
     window_skeleton,
 )
-from ratcat.glue import AnchoredPath, _anchored, glue_once
+from ratcat import glue
+from ratcat.glue import glue_once
 from ratcat.invset import invset_from_skeleton
 from ratcat.verify import all_grid_params, component_oracle
 
@@ -38,6 +39,7 @@ BLUE = (-2, 0, 1, 2, 4)
 GREEN = (-2, -1, 0, 1, 2)
 RED = (4, 5, 6, 7, 8)
 ORANGE = (4, 6, 7, 8, 10)
+P32 = GridParams(3, 2, 1)
 
 
 def example_graph():
@@ -47,13 +49,14 @@ def example_graph():
 
 def test_periodic_from_skeleton_golden():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    window = blue.walk((2, 0), 5)
+    window = blue.window(-2)
     assert window == "hhvvv"
     # step ranks of any fundamental window reproduce the skeleton
-    ap = AnchoredPath(3, 2, (2, 0), window)
-    assert set(ap.point_box_ranks()[:5]) == set(BLUE)
+    assert set(step_ranks(P32, DyckPath(P32, window))) == set(BLUE)
+    with pytest.raises(NoIntersection):
+        blue.window(3)
     stair = periodic_from_skeleton(1, 1, (-1, 0))
-    assert stair.walk((1, 0), 4) == "hvhv"
+    assert (stair.window(-1), stair.window(0)) == ("hv", "vh")
     with pytest.raises(InvalidSkeleton):
         periodic_from_skeleton(3, 2, (0, 2, 4, 6, 8))
 
@@ -62,9 +65,9 @@ def test_paths_intersect_golden():
     p_blue = periodic_from_skeleton(3, 2, BLUE)
     p_green = periodic_from_skeleton(3, 2, GREEN)
     p_red = periodic_from_skeleton(3, 2, RED)
-    assert paths_intersect(p_blue, p_green)
-    assert not paths_intersect(p_green, p_red)
-    assert paths_intersect(p_blue, p_blue)
+    assert p_blue.skel & p_green.skel
+    assert not p_green.skel & p_red.skel
+    assert p_blue.skel & p_blue.skel
 
 
 def test_paths_intersect_matches_geometry():
@@ -79,38 +82,36 @@ def test_paths_intersect_matches_geometry():
         p2 = periodic_from_skeleton(3, 2, s2)
         pts1 = _point_set(p1)
         pts2 = _point_set(p2)
-        assert bool(pts1 & pts2) == paths_intersect(p1, p2)
+        assert bool(pts1 & pts2) == bool(p1.skel & p2.skel)
 
 
 def _point_set(p):
-    pts = set()
-    for a in range(-10, 11):
-        for b in range(-10, 11):
-            if p.contains_point(a, b):
-                pts.add((a, b))
-    return pts
+    """Points (a, b) of the periodic path: the box (a-1, b) has a rank in skel."""
+    n, m = p.n, p.m
+    return {(a, b) for a in range(-10, 11) for b in range(-10, 11)
+            if m * n - m - n - n * (a - 1) - m * b in p.skel}
 
 
 def test_glue_once_figure_steps():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5))
+    d0 = DyckPath(P32, blue.window(-2))
     d1 = glue_once(d0, periodic_from_skeleton(3, 2, ORANGE))
     assert d1.steps == "hhhhvvvvvv"
     d2 = glue_once(d1, periodic_from_skeleton(3, 2, GREEN))
     assert d2.steps == "hvhvvhhhhvvvvvv"
     d3 = glue_once(d2, periodic_from_skeleton(3, 2, RED))
     assert d3.steps == "hvhvvhhhvhvvhhvvvvvv"
-    green0 = AnchoredPath(3, 2, (2, 0),
-                          periodic_from_skeleton(3, 2, GREEN).walk((2, 0), 5))
+    assert d3.params == GridParams(3, 2, 4)
+    green0 = DyckPath(P32, periodic_from_skeleton(3, 2, GREEN).window(-2))
     with pytest.raises(NoIntersection):
         glue_once(green0, periodic_from_skeleton(3, 2, RED))
 
 
 def test_self_gluing_extends_window():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = AnchoredPath(3, 2, (2, 0), blue.walk((2, 0), 5))
+    d0 = DyckPath(P32, blue.window(-2))
     doubled = glue_once(d0, blue)
-    assert doubled.steps == blue.walk((2, 0), 10)
+    assert doubled.steps == blue.window(-2) * 2
 
 
 def test_glue_all_golden():
@@ -124,7 +125,6 @@ def test_glue_all_golden():
 
 def test_glue_order_within_level_is_irrelevant():
     from ratcat import build_graph, enumerate_invsets_by_gap
-    from ratcat.glue import _glue_all_anchored
     for params in [GridParams(2, 1, 3), GridParams(3, 2, 2), GridParams(2, 1, 4)]:
         for delta in enumerate_invsets_by_gap(params, params.N + params.M):
             graph = build_graph(delta)
@@ -137,13 +137,12 @@ def test_glue_order_within_level_is_irrelevant():
             orders = itertools.product(
                 *[itertools.permutations(by_level[lev])
                   for lev in sorted(by_level) if lev > 0])
-            from ratcat.glue import periodic_from_skeleton as pfs, glue_once
             for order in orders:
-                cur = _glue_all_anchored(_single_vertex(graph))
+                cur = glue_all(_single_vertex(graph))
                 for level_group in order:
                     for v in level_group:
                         cur = glue_once(
-                            cur, pfs(graph.n, graph.m, graph.labels[v]))
+                            cur, periodic_from_skeleton(graph.n, graph.m, graph.labels[v]))
                 assert cur.steps == reference
 
 
@@ -194,6 +193,17 @@ def test_remove_interval():
     assert remove_interval(gamma_path, 0).steps == ""
 
 
+def test_window_start_out_of_range_is_rejected():
+    D = glue_all(example_graph())  # (3,2,4): 20 steps, windows start at 0..15
+    assert D.steps == "hvhvvhhhvhvvhhvvvvvv"
+    assert len(window_skeleton(D, 15)) == 5
+    for r in (-10, -1, 16, 20, 25):
+        with pytest.raises(NotBalanced):
+            window_skeleton(D, r)
+        with pytest.raises(NotBalanced):
+            remove_interval(D, r)
+
+
 def test_remove_then_glue_back_roundtrip():
     for params in all_grid_params(12):
         if params.d == 1:
@@ -203,9 +213,7 @@ def test_remove_then_glue_back_roundtrip():
             for r in good_intervals(D):
                 skel = window_skeleton(D, r)
                 smaller = remove_interval(D, r)
-                from ratcat.glue import _anchored
-                back = glue_once(_anchored(smaller),
-                                 periodic_from_skeleton(n, m, skel))
+                back = glue_once(smaller, periodic_from_skeleton(n, m, skel))
                 assert back.steps == D.steps
 
 
@@ -228,9 +236,9 @@ def test_unglue_golden():
 def test_map_D_round_trips():
     for params in all_grid_params(12):
         for D in enumerate_paths(params):
-            graph = map_D_inverse(D)
-            assert map_D(graph).steps == D.steps
-            assert canonical_form(map_D_inverse(map_D(graph))) == \
+            graph = unglue(D)[0]
+            assert glue_all(graph).steps == D.steps
+            assert canonical_form(unglue(glue_all(graph))[0]) == \
                 canonical_form(graph)
 
 
@@ -274,16 +282,29 @@ def _paths_up_to(total):
         yield from enumerate_paths(params)
 
 
-def _reference_point_box_ranks(ap):
+def _points(path):
+    """Lattice points visited by the path, walked from (m, 0)."""
+    a, b = path.params.m, 0
+    pts = [(a, b)]
+    for s in path.steps:
+        if s == "h":
+            a -= 1
+        else:
+            b += 1
+        pts.append((a, b))
+    return pts
+
+
+def _reference_point_ranks(path):
     """Rank m*n - m - n - n*(a-1) - m*b of the box below-left of each point."""
-    n, m = ap.n, ap.m
-    return [m * n - m - n - n * (a - 1) - m * b for a, b in ap.points()]
+    n, m = path.params.n, path.params.m
+    return [m * n - m - n - n * (a - 1) - m * b for a, b in _points(path)]
 
 
 def _reference_good_intervals(path):
     """Balanced windows (n vertical steps) whose ranks miss every earlier point."""
     n, m = path.params.n, path.params.m
-    ranks = _reference_point_box_ranks(_anchored(path))
+    ranks = _reference_point_ranks(path)
     vcount = [0]
     for s in path.steps:
         vcount.append(vcount[-1] + (s == "v"))
@@ -298,10 +319,7 @@ def _reference_good_intervals(path):
 
 def test_point_box_ranks_match_per_point_formula():
     for D in _paths_up_to(14):
-        ap = _anchored(D)
-        assert ap.point_box_ranks() == _reference_point_box_ranks(ap), D.steps
-    off = AnchoredPath(3, 2, (5, -3), "hvhhvvvhv")
-    assert off.point_box_ranks() == _reference_point_box_ranks(off)
+        assert glue._point_ranks(D) == _reference_point_ranks(D), D.steps
 
 
 def test_good_intervals_match_quadratic_definition():
@@ -312,12 +330,12 @@ def test_good_intervals_match_quadratic_definition():
 def test_ranks_unchanged_under_remove_interval():
     for D in _paths_up_to(14):
         n, m = D.params.n, D.params.m
-        ranks = _reference_point_box_ranks(_anchored(D))
+        ranks = _reference_point_ranks(D)
         for r in range(len(D.steps) - (n + m) + 1):
             if D.steps[r:r + n + m].count("v") != n:
                 continue
             smaller = remove_interval(D, r)
-            assert _reference_point_box_ranks(_anchored(smaller)) == \
+            assert _reference_point_ranks(smaller) == \
                 ranks[:r] + ranks[r + n + m:], (D.steps, r)
 
 
@@ -335,7 +353,7 @@ def test_invariant_violation_survives_optimize():
         import ratcat.glue as glue
         from ratcat import GridParams, InvariantViolation, glue_all, parse_path, unglue
         graph = unglue(parse_path("hvhv", GridParams(1, 1, 2)))[0]
-        glue.AnchoredPath.is_dyck = lambda self: False
+        glue.PeriodicPath.window = lambda self, r: "vh"  # above the diagonal
         try:
             glue_all(graph)
         except InvariantViolation as exc:
@@ -350,3 +368,51 @@ def test_invariant_violation_survives_optimize():
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
     assert out.stdout.split() == ["raised", "InvariantViolation", "optimized"]
+
+
+def _runs_translate_by_coordinates(path, colors):
+    """The run check in coordinates: each step starts where its color's last
+    step ended, moved by k*(-m, n) for some k >= 0."""
+    n, m = path.params.n, path.params.m
+    pts = _points(path)
+    last_end = {}
+    for z, c in enumerate(colors):
+        if c in last_end:
+            dx, dy = pts[z][0] - last_end[c][0], pts[z][1] - last_end[c][1]
+            if not (dx * n + dy * m == 0 and dx <= 0 and (-dx) % m == 0):
+                return False
+        last_end[c] = pts[z + 1]
+    return True
+
+
+def _rank_check_accepts(path, colors):
+    try:
+        glue._check_run_translations(path, colors, glue._point_ranks(path))
+    except InvariantViolation:
+        return False
+    return True
+
+
+def test_run_check_agrees_with_coordinate_oracle():
+    swapped = 0
+    for D in _paths_up_to(14):
+        if D.params.d < 2:
+            continue
+        colors = unglue(D)[1].colors
+        assert _runs_translate_by_coordinates(D, colors), D.steps
+        assert _rank_check_accepts(D, colors), D.steps
+        for z in range(len(colors) - 1):
+            if colors[z] != colors[z + 1]:
+                other = colors[:z] + (colors[z + 1], colors[z]) + colors[z + 2:]
+                assert not _runs_translate_by_coordinates(D, other), (D.steps, z)
+                assert not _rank_check_accepts(D, other), (D.steps, z)
+                swapped += 1
+    assert swapped == 7259
+
+
+def test_run_check_raises_on_swapped_coloring():
+    D = glue_all(example_graph())
+    colors = list(unglue(D)[1].colors)
+    colors[4], colors[5] = colors[5], colors[4]  # colors 2 and 0 meet at step 5
+    with pytest.raises(InvariantViolation, match="color 2 of"):
+        glue._check_run_translations(D, tuple(colors), glue._point_ranks(D))
