@@ -32,9 +32,7 @@ from .lattice import DyckPath, GridParams, step_ranks
 
 def _point_ranks(path: DyckPath) -> list[int]:
     """Rank of every point of the path, from its start to its end."""
-    ranks = step_ranks(path.params, path)
-    ranks.append(-path.params.m)
-    return ranks
+    return step_ranks(path.params, path) + [-path.params.m]
 
 
 def _good_positions(ranks: list[int], width: int) -> list[int]:

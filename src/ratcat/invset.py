@@ -67,10 +67,6 @@ class InvariantSet:
             gen[(g + c) % N] = g + c
         return InvariantSet(self.params, tuple(gen))
 
-    def elements(self, lo: int, hi: int) -> list[int]:
-        """Members of Delta in the window [lo, hi)."""
-        return [x for x in range(lo, hi) if self.contains(x)]
-
     def to_jsonable(self) -> dict:
         p = self.params
         return {"n": p.n, "m": p.m, "d": p.d, "generators": sorted(self.gen)}

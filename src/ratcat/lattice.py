@@ -6,11 +6,17 @@ corner (0, N), and stays weakly below the corner-to-corner diagonal.
 Steps are written 'h' (one unit left) and 'v' (one unit up) and are read
 from the bottom-right corner.  Boxes are addressed by their bottom-left
 lattice point, so the box (x, y) occupies [x, x+1] x [y, y+1].
+
+One walk over ranks gives everything: the point (x, y) has rank
+d*m*n - m - n*x - m*y, so a path starts at rank -m, each 'h' adds n and
+each 'v' subtracts m; it is Dyck iff every point rank is >= -m, that is
+N*x + M*y <= N*M; and its area sums max(0, r // n) over its 'v' steps,
+r the rank of the point the step leaves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -65,32 +71,33 @@ def box_rank(params: GridParams, x: int, y: int) -> int:
     return params.d * params.m * params.n - params.m - params.n - params.n * x - params.m * y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DyckPath:
     """A step sequence weakly below the diagonal, validated on construction."""
 
     params: GridParams
     steps: str
+    _area: int = field(init=False, repr=False, compare=False)  # summed by validation
 
     def __post_init__(self):
+        steps, n, m = self.steps, self.params.n, self.params.m
         N, M = self.params.N, self.params.M
-        if len(self.steps) != N + M:
-            raise MalformedPath(
-                f"expected {N + M} steps, got {len(self.steps)}")
-        if self.steps.count("v") != N or self.steps.count("h") != M:
-            raise MalformedPath(
-                f"expected {N} 'v' and {M} 'h' steps in {self.steps!r}")
-        x, y = M, 0
-        bound = N * M
-        for s in self.steps:
+        if len(steps) != N + M:
+            raise MalformedPath(f"expected {N + M} steps, got {len(steps)}")
+        if steps.count("v") != N or steps.count("h") != M:
+            raise MalformedPath(f"expected {N} 'v' and {M} 'h' steps in {steps!r}")
+        r, total = -m, 0
+        for s in steps:
             if s == "h":
-                x -= 1
+                r += n
+            elif r < 0:  # the point after this 'v' would rank below -m
+                raise AboveDiagonal(f"{steps!r} crosses the diagonal")
             else:
-                y += 1
-            if N * x + M * y > bound:
-                raise AboveDiagonal(f"{self.steps!r} crosses the diagonal")
-        if self.steps and self.steps[-1] != "v":  # excluded by the diagonal constraint
-            raise InvariantViolation(f"{self.steps!r} ends with a horizontal step")
+                total += r // n
+                r -= m
+        if steps and steps[-1] != "v":  # excluded by the diagonal constraint
+            raise InvariantViolation(f"{steps!r} ends with a horizontal step")
+        object.__setattr__(self, "_area", total)
 
     def __str__(self) -> str:
         return self.steps
@@ -138,16 +145,18 @@ def parse_path(text: str, params: GridParams) -> DyckPath:
 
 
 def step_ranks(params: GridParams, path: DyckPath) -> list[int]:
-    """Rank of each step, in path order.
+    """Rank of each step, in path order: the rank of the point it leaves.
 
     The first step is ranked -m; after a horizontal step the rank grows
     by n, after a vertical step it drops by m.  Equivalently a vertical
     step inherits the rank of the box to its left, a horizontal step the
     rank of the box above it.  The final (vertical) step has rank 0.
     """
-    ranks = [-params.m]
-    for s in path.steps[:-1]:
-        ranks.append(ranks[-1] + (params.n if s == "h" else -params.m))
+    n, m = params.n, params.m
+    ranks, r = [], -m
+    for s in path.steps:
+        ranks.append(r)
+        r = r + n if s == "h" else r - m
     return ranks
 
 
@@ -169,15 +178,11 @@ def area(params: GridParams, path: DyckPath) -> int:
     Counts boxes of non-negative rank that are not part of the Young
     diagram of the path; ranges from 0 for the full diagram up to the
     total sub-diagonal box count (delta when d = 1) for the empty one.
+    The path's validation has summed it already.
     """
-    total = 0
-    for y, row in enumerate(path.row_lengths()):
-        hi = params.d * params.m * params.n - params.m - params.n - params.m * y
-        if hi >= 0:
-            upper = min(hi // params.n, params.M - 1)
-            if upper >= row:
-                total += upper - row + 1
-    return total
+    if params is not path.params and params != path.params:
+        raise MalformedPath(f"path {path.steps!r} is on the grid {path.params}, not {params}")
+    return path._area
 
 
 def enumerate_paths(params: GridParams, limit: int = DEFAULT_ENUM_LIMIT) -> tuple[DyckPath, ...]:
@@ -193,25 +198,24 @@ def enumerate_paths(params: GridParams, limit: int = DEFAULT_ENUM_LIMIT) -> tupl
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(params: GridParams) -> tuple[DyckPath, ...]:
-    N, M = params.N, params.M
-    bound = N * M
+    n, m = params.n, params.m
     out = []
     steps = []
 
-    def rec(x, y, h_left, v_left):
+    def rec(r, h_left, v_left):
         if not h_left and not v_left:
             out.append(DyckPath(params, "".join(steps)))
             return
         if h_left:
             steps.append("h")
-            rec(x - 1, y, h_left - 1, v_left)
+            rec(r + n, h_left - 1, v_left)
             steps.pop()
-        if v_left and N * x + M * (y + 1) <= bound:
+        if v_left and r >= 0:  # a 'v' from rank r reaches rank r - m >= -m
             steps.append("v")
-            rec(x, y + 1, h_left, v_left - 1)
+            rec(r - m, h_left, v_left - 1)
             steps.pop()
 
-    rec(M, 0, M, N)
+    rec(-m, params.M, params.N)
     return tuple(out)
 
 
@@ -238,15 +242,13 @@ def bizley_count(n: int, m: int, d: int) -> int:
 
 
 def staircase_path(params: GridParams) -> DyckPath:
-    """The full-diagram path hugging the diagonal (area 0)."""
-    N, M, bound = params.N, params.M, params.N * params.M
-    x, y = M, 0
-    steps = []
-    while len(steps) < N + M:
-        if y < N and params.N * x + params.M * (y + 1) <= bound:
+    """The full-diagram path hugging the diagonal (area 0): 'v' whenever allowed."""
+    r, steps = -params.m, []
+    while len(steps) < params.N + params.M:
+        if r >= 0:  # then the 'v' stays weakly below the diagonal, and y < N
             steps.append("v")
-            y += 1
+            r -= params.m
         else:
             steps.append("h")
-            x -= 1
+            r += params.n
     return DyckPath(params, "".join(steps))

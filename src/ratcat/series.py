@@ -40,10 +40,6 @@ class QTPoly:
                         raise ValueError("exponents must be non-negative")
                     self.coeffs[(q, t)] = c
 
-    @classmethod
-    def monomial(cls, q: int, t: int, c: int = 1) -> QTPoly:
-        return cls({(q, t): c})
-
     def add_term(self, q: int, t: int, c: int = 1) -> None:
         key = (q, t)
         new = self.coeffs.get(key, 0) + c

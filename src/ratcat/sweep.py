@@ -8,17 +8,24 @@ agrees with the arm/leg box count dinv'.
 
 from __future__ import annotations
 
-from .lattice import DyckPath, GridParams, area, step_ranks
+from .lattice import DyckPath, GridParams, area
 
 
 def zeta(params: GridParams, path: DyckPath) -> DyckPath:
     """Sweep map: sort steps by (rank ascending, original position descending).
 
-    The output is again a Dyck path; the DyckPath constructor asserts it.
+    Ranks lie in [-m, d*m*n - m]: one rank walk prepends the step of rank
+    r to bucket r + m of d*m*n + 1, so each bucket is in reverse path
+    order and the buckets read in order give that sort.  The output is
+    again a Dyck path; the DyckPath constructor asserts it.
     """
-    ranks = step_ranks(params, path)
-    order = sorted(range(len(ranks)), key=lambda k: (ranks[k], -k))
-    return DyckPath(params, "".join(path.steps[k] for k in order))
+    n, m = params.n, params.m
+    buckets = [""] * (params.d * m * n + 1)
+    k = 0  # rank + m of the current step
+    for s in path.steps:
+        buckets[k] = s + buckets[k]
+        k = k + n if s == "h" else k - m
+    return DyckPath(params, "".join(buckets))
 
 
 def dinv_sweep(params: GridParams, path: DyckPath) -> int:

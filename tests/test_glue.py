@@ -318,7 +318,8 @@ def _reference_good_intervals(path):
 
 
 def test_point_box_ranks_match_per_point_formula():
-    for D in _paths_up_to(14):
+    # the empty d = 0 path has no steps and the single point (m, 0)
+    for D in [*_paths_up_to(14), DyckPath(GridParams(3, 2, 0), "")]:
         assert glue._point_ranks(D) == _reference_point_ranks(D), D.steps
 
 

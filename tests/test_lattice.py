@@ -1,8 +1,14 @@
+from dataclasses import FrozenInstanceError
+from itertools import combinations
+
 import pytest
 
 from ratcat import (
     AboveDiagonal,
+    DomainError,
+    DyckPath,
     GridParams,
+    InvariantViolation,
     LimitExceeded,
     MalformedPath,
     area,
@@ -14,6 +20,7 @@ from ratcat import (
     step_ranks,
     subdiagonal_box_count,
 )
+from ratcat.verify import all_grid_params
 
 P53 = GridParams(5, 3, 1)
 P96 = GridParams(3, 2, 3)
@@ -49,6 +56,58 @@ def test_parse_rejects_bad_input():
         parse_path("vhvhvvhv", P53)
 
 
+def validate_by_coordinates(params, steps):
+    """Oracle: the coordinate validator, N*x + M*y <= N*M at every point."""
+    N, M = params.N, params.M
+    if len(steps) != N + M or steps.count("v") != N or steps.count("h") != M:
+        raise MalformedPath(steps)
+    x, y = M, 0
+    for s in steps:
+        if s == "h":
+            x -= 1
+        else:
+            y += 1
+        if N * x + M * y > N * M:
+            raise AboveDiagonal(steps)
+    if steps and steps[-1] != "v":
+        raise InvariantViolation(steps)
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (DomainError, InvariantViolation) as exc:
+        return type(exc)
+    return None
+
+
+def test_rank_validation_matches_coordinate_validation():
+    for params in all_grid_params(12):
+        N, M = params.N, params.M
+        for vs in combinations(range(N + M), N):
+            steps = "".join("v" if k in vs else "h" for k in range(N + M))
+            want = _outcome(validate_by_coordinates, params, steps)
+            assert _outcome(DyckPath, params, steps) is want, (params, steps)
+        for steps in ["h" * (M + 1) + "v" * (N - 1), "v" * N + "h" * M + "v"]:
+            assert _outcome(validate_by_coordinates, params, steps) is MalformedPath
+            assert _outcome(DyckPath, params, steps) is MalformedPath
+
+
+def test_dyck_path_is_a_plain_value():
+    D = parse_path("hhvhvvvv", P53)
+    E = DyckPath(GridParams(5, 3, 1), "hhvhvvvv")
+    assert D == E and hash(D) == hash(E) and {D: 1}[E] == 1
+    assert repr(D) == repr(E) == \
+        "DyckPath(params=GridParams(n=5, m=3, d=1), steps='hhvhvvvv')"
+    assert str(D) == "hhvhvvvv"
+    assert D != DyckPath(P53, "hvhvhvvv")
+    object.__setattr__(E, "_area", 99)  # the cached area takes no part in ==
+    assert D == E and hash(D) == hash(E) and repr(D) == repr(E)
+    with pytest.raises(FrozenInstanceError):
+        D.steps = "hvhvhvvv"
+    assert not hasattr(D, "__dict__")
+
+
 def test_box_rank_golden():
     assert box_rank(P53, 0, 0) == 7
     assert box_rank(P96, 0, 0) == 13
@@ -63,6 +122,11 @@ def test_step_ranks_golden():
     assert step_ranks(P96, D) == [-2, 1, -1, 2, 0, -2, 1, 4, 7, 5, 8, 6, 4, 2, 0]
     p11 = GridParams(1, 1, 1)
     assert step_ranks(p11, parse_path("hv", p11)) == [-1, 0]
+
+
+def test_step_ranks_of_the_empty_path():
+    p0 = GridParams(3, 2, 0)
+    assert step_ranks(p0, DyckPath(p0, "")) == []
 
 
 def step_ranks_from_boxes(params, path):
@@ -100,6 +164,33 @@ def test_area_golden():
     assert area(P42, parse_path("hhvvvv", P42)) == 2
     for params in [P53, GridParams(2, 3, 1), GridParams(4, 3, 1)]:
         assert area(params, staircase_path(params)) == 0
+
+
+def area_by_rows(params, path):
+    """Oracle: per row, the boxes of non-negative rank right of the diagram."""
+    total = 0
+    for y, row in enumerate(path.row_lengths()):
+        hi = params.d * params.m * params.n - params.m - params.n - params.m * y
+        if hi >= 0:
+            upper = min(hi // params.n, params.M - 1)
+            if upper >= row:
+                total += upper - row + 1
+    return total
+
+
+def test_area_matches_row_count():
+    for params in all_grid_params(16):
+        for D in enumerate_paths(params):
+            assert area(params, D) == area_by_rows(params, D), (params, D.steps)
+    p0 = GridParams(3, 2, 0)
+    assert area(p0, DyckPath(p0, "")) == 0
+
+
+def test_area_rejects_a_path_of_another_grid():
+    D = parse_path("hhvhvvvv", P53)
+    assert area(GridParams(5, 3, 1), D) == 3  # equal, not identical, params
+    with pytest.raises(MalformedPath):
+        area(GridParams(3, 5, 1), D)
 
 
 def test_area_plus_boxes_is_subdiagonal_count():

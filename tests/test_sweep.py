@@ -20,6 +20,13 @@ def test_zeta_golden():
     assert zeta(p11, parse_path("hv", p11)).steps == "hv"
 
 
+def zeta_by_sorting(params, path):
+    """Oracle: step indices sorted by (rank ascending, position descending)."""
+    ranks = step_ranks(params, path)
+    order = sorted(range(len(ranks)), key=lambda k: (ranks[k], -k))
+    return "".join(path.steps[k] for k in order)
+
+
 def test_zeta_tie_breaking_reverses_equal_ranks():
     D = parse_path("hvhvvhhhvhvvvvv", P96)
     ranks = step_ranks(P96, D)
@@ -30,7 +37,13 @@ def test_zeta_tie_breaking_reverses_equal_ranks():
     srt = sorted(range(15), key=lambda k: (ranks[k], -k))
     assert [D.steps[k] for k in srt if ranks[k] == 4] == ["v", "h"]
     assert [D.steps[k] for k in srt if ranks[k] == 1] == ["h", "v"]
-    assert image.steps == "".join(D.steps[k] for k in srt)
+    assert image.steps == zeta_by_sorting(P96, D)
+
+
+def test_zeta_matches_sorting():
+    for params in all_grid_params(16):
+        for D in enumerate_paths(params):
+            assert zeta(params, D).steps == zeta_by_sorting(params, D), (params, D.steps)
 
 
 def test_dinv_golden():
