@@ -47,11 +47,11 @@ def _parse(args):
     return params, parse_path(args.path, params)
 
 
-def _add_grid_flags(p, with_d=True):
-    p.add_argument("--n", type=int, required=True, help="coprime height unit")
-    p.add_argument("--m", type=int, required=True, help="coprime width unit")
-    if with_d:
-        p.add_argument("--d", type=int, default=1, help="gcd multiplicity (default 1)")
+def _add_grid_flags(p, required=True):
+    """--n and --m, required unless they default to 1, and --d."""
+    p.add_argument("--n", type=int, required=required, default=1, help="coprime height unit")
+    p.add_argument("--m", type=int, required=required, default=1, help="coprime width unit")
+    p.add_argument("--d", type=int, default=1, help="gcd multiplicity (default 1)")
 
 
 def _add_format_flag(p):
@@ -275,26 +275,27 @@ def build_parser() -> argparse.ArgumentParser:
     poly.set_defaults(func=cmd_poly)
 
     series = sub.add_parser("series", help="gap-truncated q,t series")
-    series.add_argument("kind", choices=("C", "F"))
-    series.add_argument("--n", type=int, default=1)
-    series.add_argument("--m", type=int, default=1)
-    series.add_argument("--d", type=int, default=1)
-    series.add_argument("--size", type=int, default=2,
-                        help="tuple length for the F series")
-    series.add_argument("--cutoff", type=int, required=True)
-    series.add_argument("--restricted", action="store_true",
-                        help="fix the last tuple entry to 0 (F series only)")
-    _add_format_flag(series)
-    series.set_defaults(func=cmd_series)
+    series_sub = series.add_subparsers(dest="kind", required=True)
+    sc = series_sub.add_parser("C", help="the C series of a grid")
+    _add_grid_flags(sc, required=False)
+    sf = series_sub.add_parser("F", help="the F series of tuples")
+    sf.add_argument("--size", type=int, default=2, help="tuple length (default 2)")
+    for p in (sc, sf):
+        p.add_argument("--cutoff", type=int, required=True)
+        p.add_argument("--restricted", action="store_true",
+                       help="fix the last tuple entry to 0 (F series only)")
+        _add_format_flag(p)
+        p.set_defaults(func=cmd_series)
 
     count = sub.add_parser("count", help="path and region counts")
-    count.add_argument("kind", choices=("bizley", "fuss"))
-    count.add_argument("--n", type=int, default=1)
-    count.add_argument("--m", type=int, default=1)
-    count.add_argument("--d", type=int, default=1)
-    count.add_argument("--N", type=int, default=1)
-    count.add_argument("--k", type=int, default=1)
-    count.set_defaults(func=cmd_count)
+    count_sub = count.add_subparsers(dest="kind", required=True)
+    cb = count_sub.add_parser("bizley", help="Dyck paths of a grid")
+    _add_grid_flags(cb, required=False)
+    cb.set_defaults(func=cmd_count)
+    cf = count_sub.add_parser("fuss", help="the Fuss-Catalan number c_N(k)")
+    cf.add_argument("--N", type=int, default=1)
+    cf.add_argument("--k", type=int, default=1)
+    cf.set_defaults(func=cmd_count)
 
     ver = sub.add_parser("verify", help="run a verification suite")
     ver.add_argument("--suite", required=True,

@@ -144,6 +144,12 @@ def parse_path(text: str, params: GridParams) -> DyckPath:
     return DyckPath(params, text)
 
 
+def _check_grid(params: GridParams, path: DyckPath) -> None:
+    """Reject a path handed in with a grid other than its own."""
+    if params is not path.params and params != path.params:
+        raise MalformedPath(f"path {path.steps!r} is on the grid {path.params}, not {params}")
+
+
 def step_ranks(params: GridParams, path: DyckPath) -> list[int]:
     """Rank of each step, in path order: the rank of the point it leaves.
 
@@ -152,6 +158,7 @@ def step_ranks(params: GridParams, path: DyckPath) -> list[int]:
     step inherits the rank of the box to its left, a horizontal step the
     rank of the box above it.  The final (vertical) step has rank 0.
     """
+    _check_grid(params, path)
     n, m = params.n, params.m
     ranks, r = [], -m
     for s in path.steps:
@@ -180,8 +187,7 @@ def area(params: GridParams, path: DyckPath) -> int:
     total sub-diagonal box count (delta when d = 1) for the empty one.
     The path's validation has summed it already.
     """
-    if params is not path.params and params != path.params:
-        raise MalformedPath(f"path {path.steps!r} is on the grid {path.params}, not {params}")
+    _check_grid(params, path)
     return path._area
 
 

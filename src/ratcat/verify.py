@@ -1,9 +1,12 @@
 """Named verification suites exercising every theorem at desk scale.
 
-Each suite returns (ok, lines); the CLI exposes them as subcommands and
-the acceptance tests run the same code, so CI and the command line agree
-by construction.  All checks are exact; sizes are chosen so that the
-whole battery finishes in well under the documented time budgets.
+Each suite is a generator of (name, ok, detail) checks, and run_suite
+is the one place that turns them into PASS, FAIL and REPORT lines.  The
+CLI exposes the suites as subcommands and the acceptance tests run the
+same code, so CI and the command line agree by construction.  A check
+over every path of a grid that fails names the first path that fails
+it.  All checks are exact; sizes are chosen so that the whole battery
+finishes in well under the documented time budgets.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .invset import (
     map_G,
     skeleton,
 )
-from .lattice import DyckPath, GridParams, area, bizley_count, enumerate_paths
+from .lattice import DyckPath, GridParams, area, bizley_count, enumerate_paths, parse_path
 from .series import (
     C_series,
     F_series,
@@ -46,151 +49,102 @@ def all_grid_params(max_total: int) -> list[GridParams]:
     out = []
     for n in range(1, max_total):
         for m in range(1, max_total):
-            if gcd(n, m) != 1:
-                continue
-            d = 1
-            while d * (n + m) <= max_total:
-                out.append(GridParams(n, m, d))
-                d += 1
+            if gcd(n, m) == 1:
+                out.extend(GridParams(n, m, d) for d in range(1, max_total // (n + m) + 1))
     return sorted(out, key=lambda p: (p.N + p.M, p.n, p.m, p.d))
 
 
-def _result(name: str, ok: bool, detail: str = "") -> tuple[bool, str]:
-    tag = "PASS" if ok else "FAIL"
-    return ok, f"{tag} {name}" + (f": {detail}" if detail else "")
+def _every_path(params: GridParams, names, facts):
+    """One check per name over every path of the grid.
+
+    facts(path) gives one bool per name; a check that fails has the
+    detail ``fails at <steps>`` for the first path that breaks it.
+    """
+    fails = [""] * len(names)
+    for path in enumerate_paths(params):
+        for i, good in enumerate(facts(path)):
+            if not good and not fails[i]:
+                fails[i] = f"fails at {path.steps}"
+    for name, fail in zip(names, fails):
+        yield name, not fail, fail
 
 
-def suite_golden_zeta(max_size: int | None = None):
-    lines, ok = [], True
-    cases = [
+def suite_golden_zeta(max_size=None):
+    for params, steps, expected in [
         (GridParams(5, 3, 1), "hhvhvvvv", "hvhvhvvv"),
         (GridParams(3, 2, 3), "hvhvvhhhvhvvvvv", "hhhvvhvvvvhhvvv"),
-    ]
-    for params, steps, expected in cases:
-        from .lattice import parse_path
+    ]:
         got = zeta(params, parse_path(steps, params)).steps
-        good, line = _result(
-            f"zeta golden ({params.N},{params.M})", got == expected,
-            f"{steps} -> {got}")
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield (f"zeta golden ({params.N},{params.M})", got == expected,
+               f"{steps} -> {got}")
 
 
-def suite_zeta_bijective(max_size: int | None = None):
-    max_size = 14 if max_size is None else max_size
-    lines, ok = [], True
+def suite_zeta_bijective(max_size=14):
     for params in all_grid_params(max_size):
         paths = enumerate_paths(params)
         image = {zeta(params, d).steps for d in paths}
-        good, line = _result(
-            f"zeta permutes Y_({params.N},{params.M})",
-            len(image) == len(paths), f"{len(paths)} paths")
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield (f"zeta permutes Y_({params.N},{params.M})",
+               len(image) == len(paths), f"{len(paths)} paths")
 
 
-def suite_factorization(max_size: int | None = None):
-    max_size = 14 if max_size is None else max_size
-    lines, ok = [], True
+def suite_factorization(max_size=14):
     for params in all_grid_params(max_size):
-        good = all(
-            zeta(params, d).steps ==
-            map_G(minimal_representative(unglue(d)[0])).steps
-            for d in enumerate_paths(params))
-        good, line = _result(
-            f"zeta = G o D^-1 on Y_({params.N},{params.M})", good)
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield from _every_path(
+            params, [f"zeta = G o D^-1 on Y_({params.N},{params.M})"],
+            lambda d: (zeta(d.params, d).steps ==
+                       map_G(minimal_representative(unglue(d)[0])).steps,))
 
 
-def suite_dinv_agreement(max_size: int | None = None):
-    max_size = 14 if max_size is None else max_size
-    lines, ok = [], True
+def suite_dinv_agreement(max_size=14):
     for params in all_grid_params(max_size):
-        good = all(dinv_sweep(params, d) == dinv_armleg(params, d)
-                   for d in enumerate_paths(params))
-        good, line = _result(
-            f"dinv = dinv' on Y_({params.N},{params.M})", good)
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield from _every_path(
+            params, [f"dinv = dinv' on Y_({params.N},{params.M})"],
+            lambda d: (dinv_sweep(d.params, d) == dinv_armleg(d.params, d),))
 
 
-def suite_round_trips(max_size: int | None = None):
-    max_size = 15 if max_size is None else max_size
-    lines, ok = [], True
+def _round_trip(d: DyckPath) -> tuple[bool, bool]:
+    graph = unglue(d)[0]
+    glued = glue_all(graph)
+    return (glued.steps == d.steps,
+            canonical_form(unglue(glued)[0]) == canonical_form(graph))
+
+
+def suite_round_trips(max_size=15):
     for params in all_grid_params(max_size):
-        path_ok = True
-        graph_ok = True
-        for d in enumerate_paths(params):
-            graph = unglue(d)[0]
-            if glue_all(graph).steps != d.steps:
-                path_ok = False
-            if canonical_form(unglue(glue_all(graph))[0]) != canonical_form(graph):
-                graph_ok = False
-        good, line = _result(
-            f"B o B^-1 = id on Y_({params.N},{params.M})", path_ok)
-        ok &= good
-        lines.append(line)
-        good, line = _result(
-            f"B^-1 o B canonical-equal on graphs of Y_({params.N},{params.M})",
-            graph_ok)
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield from _every_path(
+            params,
+            [f"B o B^-1 = id on Y_({params.N},{params.M})",
+             f"B^-1 o B canonical-equal on graphs of Y_({params.N},{params.M})"],
+            _round_trip)
 
 
-def suite_worked_12_8(max_size: int | None = None):
-    lines, ok = [], True
+def suite_worked_12_8(max_size=None):
     params = GridParams(3, 2, 4)
     delta = invset_from_generators(
         params, [0, 1, 5, 8, 9, 16, 27, 30, 34, 35, 38, 43])
     bounds = shift_bounds(skeleton(delta))
     expected_b = ((None, 0, 5, 2), (2, None, 12, 9),
                   (None, None, None, 0), (None, None, 2, None))
-    good, line = _result("(12,8) pairwise bound matrix", bounds.b == expected_b)
-    ok &= good
-    lines.append(line)
+    yield "(12,8) pairwise bound matrix", bounds.b == expected_b, ""
 
     mvec = minimal_shifting(bounds)
-    good, line = _result("(12,8) minimal shifting", mvec == (0, 0, -4, -2),
-                         str(mvec))
-    ok &= good
-    lines.append(line)
+    yield "(12,8) minimal shifting", mvec == (0, 0, -4, -2), str(mvec)
 
     graph = build_graph(delta)
-    good, line = _result("(12,8) levels", graph.levels() == (0, 1, 2, 1))
-    ok &= good
-    lines.append(line)
-    good, line = _result(
-        "(12,8) labels",
-        graph.labels == ((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
-                         (4, 5, 6, 7, 8), (4, 6, 7, 8, 10)))
-    ok &= good
-    lines.append(line)
+    yield "(12,8) levels", graph.levels() == (0, 1, 2, 1), ""
+    yield ("(12,8) labels",
+           graph.labels == ((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
+                            (4, 5, 6, 7, 8), (4, 6, 7, 8, 10)), "")
 
     rep = minimal_representative(graph)
-    good, line = _result("(12,8) minimal representative gap = 14",
-                         gap(rep) == 14)
-    ok &= good
-    lines.append(line)
+    yield "(12,8) minimal representative gap = 14", gap(rep) == 14, ""
 
     glued = glue_all(graph)
-    good, line = _result("(12,8) glued path area = 14",
-                         area(params, glued) == 14)
-    ok &= good
-    lines.append(line)
+    yield "(12,8) glued path area = 14", area(params, glued) == 14, ""
 
-    goods = good_intervals(glued)
-    skels = sorted(tuple(sorted(window_skeleton(glued, r))) for r in goods)
-    good, line = _result(
-        "(12,8) good intervals",
-        skels == [(-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)])
-    ok &= good
-    lines.append(line)
+    skels = sorted(tuple(sorted(window_skeleton(glued, r))) for r in good_intervals(glued))
+    yield ("(12,8) good intervals",
+           skels == [(-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)], "")
 
     left = LabeledDigraph(
         3, 2,
@@ -200,154 +154,93 @@ def suite_worked_12_8(max_size: int | None = None):
     rep_left = minimal_representative(left)
     expected_parts = [[-8, 0, 4, 8, 16], [17, 25, 29, 33, 41],
                       [-6, -2, 2, 6, 10], [19, 23, 27, 31, 35]]
-    good, line = _result(
-        "(12,8) representative skeleton parts",
-        skeleton(rep_left).parts_mod_d() == expected_parts)
-    ok &= good
-    lines.append(line)
-    return ok, lines
+    yield ("(12,8) representative skeleton parts",
+           skeleton(rep_left).parts_mod_d() == expected_parts, "")
 
 
-def suite_counting(max_size: int | None = None):
-    max_size = 14 if max_size is None else max_size
-    lines, ok = [], True
+def suite_counting(max_size=14):
     for params in all_grid_params(max_size):
         count = len(enumerate_paths(params))
-        expected = bizley_count(params.n, params.m, params.d)
-        good, line = _result(
-            f"|Y_({params.N},{params.M})| = Bizley", count == expected,
-            str(count))
-        ok &= good
-        lines.append(line)
-    census_cases = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (3, 2, 2)]
-    for (n, m, d) in census_cases:
+        yield (f"|Y_({params.N},{params.M})| = Bizley",
+               count == bizley_count(params.n, params.m, params.d), str(count))
+    for (n, m, d) in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (3, 2, 2)]:
         params = GridParams(n, m, d)
         classes = count_equivalence_classes(params)
-        expected = bizley_count(n, m, d)
-        good, line = _result(
-            f"class census ({params.N},{params.M})", classes == expected,
-            f"{classes} classes")
-        ok &= good
-        lines.append(line)
-    fuss_cases = [((1, 1, 2), (2, 1)), ((1, 2, 2), (2, 2)),
-                  ((1, 1, 3), (3, 1)), ((1, 2, 3), (3, 2))]
-    for (n, m, d), (N, k) in fuss_cases:
-        good, line = _result(
-            f"Fuss-Catalan c_{N}({k})",
-            fuss_catalan(N, k) == bizley_count(n, m, d),
-            str(fuss_catalan(N, k)))
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield (f"class census ({params.N},{params.M})",
+               classes == bizley_count(n, m, d), f"{classes} classes")
+    for (n, m, d), (N, k) in [((1, 1, 2), (2, 1)), ((1, 2, 2), (2, 2)),
+                              ((1, 1, 3), (3, 1)), ((1, 2, 3), (3, 2))]:
+        c = fuss_catalan(N, k)
+        yield f"Fuss-Catalan c_{N}({k})", c == bizley_count(n, m, d), str(c)
 
 
-def suite_area_min_gap(max_size: int | None = None):
-    lines, ok = [], True
+def suite_area_min_gap(max_size=None):
     for (n, m, d) in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (3, 2, 2)]:
         params = GridParams(n, m, d)
-        budget = 2 * (params.N + params.M)
         by_class: dict[bytes, list] = {}
-        for delta in enumerate_invsets_by_gap(params, budget):
+        for delta in enumerate_invsets_by_gap(params, 2 * (params.N + params.M)):
             by_class.setdefault(
                 canonical_form(build_graph(delta)), []).append(delta)
         good = True
         for members in by_class.values():
             graph = build_graph(members[0])
             rep_gap = gap(minimal_representative(graph))
-            if area(params, glue_all(graph)) != rep_gap:
-                good = False
-            if min(gap(x) for x in members) != rep_gap:
-                good = False
-        good, line = _result(
-            f"area(D(class)) = min gap over ({params.N},{params.M}) classes",
-            good, f"{len(by_class)} classes")
-        ok &= good
-        lines.append(line)
-    return ok, lines
+            good &= area(params, glue_all(graph)) == rep_gap == min(map(gap, members))
+        yield (f"area(D(class)) = min gap over ({params.N},{params.M}) classes",
+               good, f"{len(by_class)} classes")
 
 
-def suite_series(max_size: int | None = None):
-    lines, ok = [], True
+def suite_series(max_size=None):
     c22 = C_series(GridParams(1, 1, 2), 10)
     expected = QTPoly({(0, 1): 1, **{(k, 0): 1 for k in range(1, 11)}})
-    good, line = _result("C_{2,2} = (q + t - qt)/(1 - q) through q^10",
-                         c22.poly == expected)
-    ok &= good
-    lines.append(line)
+    yield "C_{2,2} = (q + t - qt)/(1 - q) through q^10", c22.poly == expected, ""
 
     one_minus_q = QTPoly({(0, 0): 1, (1, 0): -1})
     for n in range(1, 5):
         lhs = (one_minus_q * F_series(n, 6).poly).truncate_q(6)
         rhs = F_series(n, 6, restricted=True).poly.truncate_q(6)
-        good, line = _result(f"(1-q) F_{n} = restricted F_{n} through q^6",
-                             lhs == rhs)
-        ok &= good
-        lines.append(line)
+        yield f"(1-q) F_{n} = restricted F_{n} through q^6", lhs == rhs, ""
 
     for n in (2, 3, 4):
         c = C_series(GridParams(1, 1, n), 6)
         f = F_series(n, 6, restricted=True)
-        good, line = _result(f"C_({n},{n}) = restricted F_{n} through q^6",
-                             c.agrees_with(f))
-        ok &= good
-        lines.append(line)
+        yield f"C_({n},{n}) = restricted F_{n} through q^6", c.agrees_with(f), ""
 
     for n, m in [(2, 3), (3, 4), (2, 5)]:
         params = GridParams(n, m, 1)
-        good, line = _result(
-            f"C = qt-Catalan at d=1 ({n},{m})",
-            C_series(params, params.delta).poly == qt_catalan(params))
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield (f"C = qt-Catalan at d=1 ({n},{m})",
+               C_series(params, params.delta).poly == qt_catalan(params), "")
 
 
-def suite_coprime_structure(max_size: int | None = None):
-    max_size = 12 if max_size is None else max_size
-    lines, ok = [], True
+def suite_coprime_structure(max_size=12):
+    for params in all_grid_params(max_size):  # d = 1: every coprime n + m <= max_size
+        if params.d == 1:
+            springer_poincare(params.n, params.m)  # raises FormulaMismatch on failure
+            yield (f"qt-Catalan ({params.n},{params.m}) q<->t symmetric",
+                   qt_catalan(params).is_qt_symmetric(), "")
+    yield f"Poincare formulas agree for all n+m <= {max_size}", True, ""
+
+
+def _coloring_valid(path: DyckPath) -> bool:
+    n, m = path.params.n, path.params.m
+    graph, colored = unglue(path)  # per-class invariants raise inside
+    for v, comp in enumerate(colored.components):
+        cls = [s for s, c in zip(path.steps, colored.colors) if c == v]
+        if len(cls) != n + m or cls.count("v") != n:
+            return False
+        # comp is a DyckPath of the (n, m) grid, so its step counts hold
+        if comp != component_oracle(n, m, graph.labels[v]):
+            return False
+    if n == m == 1:
+        return _matches_paren_matching(path.steps, colored.colors)
+    return True
+
+
+def suite_coloring(max_size=14):
     for params in all_grid_params(max_size):
-        if params.d != 1:
-            continue
-        good, line = _result(
-            f"qt-Catalan ({params.n},{params.m}) q<->t symmetric",
-            qt_catalan(params).is_qt_symmetric())
-        ok &= good
-        lines.append(line)
-    for n in range(1, max_size):
-        for m in range(1, max_size - n + 1):
-            if gcd(n, m) == 1:
-                springer_poincare(n, m)  # raises FormulaMismatch on failure
-    good, line = _result(
-        f"Poincare formulas agree for all n+m <= {max_size}", True)
-    ok &= good
-    lines.append(line)
-    return ok, lines
-
-
-def suite_coloring(max_size: int | None = None):
-    max_size = 14 if max_size is None else max_size
-    lines, ok = [], True
-    for params in all_grid_params(max_size):
-        n, m = params.n, params.m
-        good = True
-        for path in enumerate_paths(params):
-            graph, colored = unglue(path)  # per-class invariants raise inside
-            for v, comp in enumerate(colored.components):
-                cls = [s for s, c in zip(path.steps, colored.colors) if c == v]
-                if len(cls) != n + m or cls.count("v") != n:
-                    good = False
-                if comp.steps.count("v") != n or comp.steps.count("h") != m:
-                    good = False
-                if comp != component_oracle(n, m, graph.labels[v]):
-                    good = False
-            if params.n == params.m == 1:
-                if not _matches_paren_matching(path.steps, colored.colors):
-                    good = False
-        good, line = _result(
-            f"coloring of Y_({params.N},{params.M}) valid", good)
-        ok &= good
-        lines.append(line)
-    return ok, lines
+        yield from _every_path(
+            params, [f"coloring of Y_({params.N},{params.M}) valid"],
+            lambda path: (_coloring_valid(path),))
 
 
 def component_oracle(n: int, m: int, label) -> DyckPath:
@@ -364,20 +257,17 @@ def _matches_paren_matching(steps: str, colors) -> bool:
     for z, s in enumerate(steps):
         if s == "h":
             stack.append(z)
-        else:
-            if not stack:
-                return False
-            if colors[stack.pop()] != colors[z]:
-                return False
+        elif not stack or colors[stack.pop()] != colors[z]:
+            return False
     return not stack
 
 
-def suite_conjecture_probe(max_size: int | None = None):
+def suite_conjecture_probe(max_size=None):
     """Reported only: is C * (1-q)^(d-1) symmetric in q and t up to cutoff?
 
-    Rests on an open conjecture, so failures are logged, never asserted.
+    Rests on an open conjecture, so its checks have ok None: they are
+    logged as REPORT lines, never asserted.
     """
-    lines = []
     one_minus_q = QTPoly({(0, 0): 1, (1, 0): -1})
     for (n, m, d) in [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2), (3, 2, 2)]:
         params = GridParams(n, m, d)
@@ -390,10 +280,8 @@ def suite_conjecture_probe(max_size: int | None = None):
         box = cutoff - (d - 1)
         inside = QTPoly({(q, t): c for (q, t), c in poly.coeffs.items()
                          if q <= box and t <= box})
-        sym = inside == inside.swapped()
-        lines.append(f"REPORT C_({params.N},{params.M}) * (1-q)^{d-1} "
-                     f"q<->t symmetric in the box q,t <= {box}: {sym}")
-    return True, lines
+        yield (f"C_({params.N},{params.M}) * (1-q)^{d-1} q<->t symmetric "
+               f"in the box q,t <= {box}", None, str(inside == inside.swapped()))
 
 
 SUITES = {
@@ -415,10 +303,12 @@ SUITES = {
 def run_suite(name: str, max_size: int | None = None):
     """Run one suite (or 'all'); returns (ok, lines).
 
-    A suite that raises fails with the line
-    ``FAIL <suite>: raised <Type>: <message>``; 'all' goes on with the
-    remaining suites.  max_size below 2 is rejected: no grid has
-    N + M < 2, so the sized suites would check nothing and pass.
+    A check is the line ``PASS|FAIL|REPORT <name>[: <detail>]``, REPORT
+    when its ok is None.  A suite that raises adds, after the checks it
+    made, ``FAIL <suite>: raised <Type>: <message>``; 'all' goes on with
+    the remaining suites.  max_size None keeps each suite's default;
+    below 2 it is rejected: no grid has N + M < 2, so the sized suites
+    would check nothing and pass.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
@@ -427,11 +317,13 @@ def run_suite(name: str, max_size: int | None = None):
         raise ValueError(f"max_size must be at least 2, got {max_size}")
     ok, lines = True, []
     for key in (SUITES if name == "all" else [name]):
+        suite = SUITES[key]
         try:
-            good, sub = SUITES[key](max_size)
+            for check, good, detail in suite() if max_size is None else suite(max_size):
+                tag = "REPORT" if good is None else "PASS" if good else "FAIL"
+                lines.append(f"{tag} {check}" + (f": {detail}" if detail else ""))
+                ok &= good is not False
         except Exception as exc:
-            good, line = _result(key, False, f"raised {type(exc).__name__}: {exc}")
-            sub = [line]
-        ok &= good
-        lines.extend(sub)
+            lines.append(f"FAIL {key}: raised {type(exc).__name__}: {exc}")
+            ok = False
     return ok, lines

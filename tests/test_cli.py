@@ -212,6 +212,53 @@ def test_ignored_flags_rejected(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "F", "--size", "2", "--cutoff", "2", "--n", "5", "--m", "3", "--d", "4"),
+    ("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "3", "--size", "2"),
+    ("count", "fuss", "--N", "2", "--k", "2", "--n", "4", "--m", "2"),
+    ("count", "bizley", "--n", "1", "--m", "1", "--d", "3", "--N", "2", "--k", "2"),
+])
+def test_flags_of_another_kind_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_failing_check_names_its_path(monkeypatch):
+    from ratcat import verify
+
+    real = verify.dinv_armleg
+    monkeypatch.setattr(verify, "dinv_armleg", lambda params, path:
+                        real(params, path) + (path.steps == "hhvvhv"))
+    ok, lines = verify.run_suite("dinv-agreement", 6)
+    assert not ok
+    assert lines == [
+        "FAIL dinv = dinv' on Y_(3,3): fails at hhvvhv" if (p.N, p.M) == (3, 3)
+        else f"PASS dinv = dinv' on Y_({p.N},{p.M})"
+        for p in verify.all_grid_params(6)]
+
+
+def test_round_trip_checks_fail_independently(monkeypatch):
+    from ratcat import verify
+
+    real, calls = verify.canonical_form, []
+
+    def first_call_differs(graph):  # breaks one canonical-form comparison only
+        calls.append(graph)
+        return real(graph) + (b"!" if len(calls) == 1 else b"")
+
+    monkeypatch.setattr(verify, "canonical_form", first_call_differs)
+    ok, lines = verify.run_suite("round-trips", 3)
+    assert not ok
+    assert lines == ["PASS B o B^-1 = id on Y_(1,1)",
+                     "FAIL B^-1 o B canonical-equal on graphs of Y_(1,1): fails at hv",
+                     "PASS B o B^-1 = id on Y_(1,2)",
+                     "PASS B^-1 o B canonical-equal on graphs of Y_(1,2)",
+                     "PASS B o B^-1 = id on Y_(2,1)",
+                     "PASS B^-1 o B canonical-equal on graphs of Y_(2,1)"]
+
+
 def test_verify_smallest_max_size_checks_a_grid(capsys):
     from ratcat import verify
 

@@ -193,6 +193,13 @@ def test_area_rejects_a_path_of_another_grid():
         area(GridParams(3, 5, 1), D)
 
 
+def test_step_ranks_rejects_a_path_of_another_grid():
+    D = parse_path("hhvhvvvv", GridParams(5, 3, 1))
+    assert step_ranks(GridParams(5, 3, 1), D) == [-3, 2, 7, 4, 9, 6, 3, 0]
+    with pytest.raises(MalformedPath, match="is on the grid"):
+        step_ranks(GridParams(3, 5, 1), D)
+
+
 def test_area_plus_boxes_is_subdiagonal_count():
     for params in [P53, P96, P42, GridParams(1, 1, 4)]:
         total = subdiagonal_box_count(params)
