@@ -1,8 +1,10 @@
 """Command-line surface: every operation as a subcommand, plus verify.
 
-Output is a human-readable table by default; --format json emits the
-documented serializations.  Exit codes: 0 success, 1 domain error, 2
-verification failure (argparse uses 2 for usage errors as well).
+Each leaf subcommand has one handler and declares only the flags it
+reads.  A handler hands a JSON payload and human lines to _show, the one
+emitter: the human lines by default, the payload under --format json.
+Exit codes: 0 success, 1 domain error, 2 verification failure (argparse
+uses 2 for usage errors as well).
 """
 
 from __future__ import annotations
@@ -47,39 +49,44 @@ def _parse(args):
     return params, parse_path(args.path, params)
 
 
-def _add_grid_flags(p, required=True):
-    """--n and --m, required unless they default to 1, and --d."""
-    p.add_argument("--n", type=int, required=required, default=1, help="coprime height unit")
-    p.add_argument("--m", type=int, required=required, default=1, help="coprime width unit")
-    p.add_argument("--d", type=int, default=1, help="gcd multiplicity (default 1)")
+def _grid(required=True):
+    """The flags --n and --m, required unless they default to 1, and --d."""
+    return [("--n", dict(type=int, required=required, default=1, help="coprime height unit")),
+            ("--m", dict(type=int, required=required, default=1, help="coprime width unit")),
+            ("--d", dict(type=int, default=1, help="gcd multiplicity (default 1)"))]
 
 
-def _add_format_flag(p):
-    p.add_argument("--format", choices=("human", "json"), default="human")
+def _command(sub, name, func, help, *flags, with_format=True):
+    """The subcommand name that runs func: each (flag, add_argument
+    options) pair of flags in order, then --format if with_format."""
+    p = sub.add_parser(name, help=help)
+    for flag, options in flags:
+        p.add_argument(flag, **options)
+    if with_format:
+        p.add_argument("--format", choices=("human", "json"), default="human")
+    p.set_defaults(func=func)
+
+
+def _show(args, payload, lines) -> int:
+    """Print a result: the payload as JSON under --format json, else the
+    human lines.  The one place that reads --format."""
+    if args.format == "json":
+        print(_dump(payload))
+    else:
+        print("\n".join(lines))
+    return 0
 
 
 def cmd_paths_enumerate(args) -> int:
-    params = _params(args)
-    paths = enumerate_paths(params)
-    if args.count_only:
-        print(len(paths))
-        return 0
-    if args.format == "json":
-        print(_dump([p.to_jsonable() for p in paths]))
-    else:
-        for p in paths:
-            print(p.steps)
-    return 0
+    paths = enumerate_paths(_params(args))
+    if args.count_only:  # the bare count, which is also its JSON
+        return _show(args, len(paths), [str(len(paths))])
+    return _show(args, [p.to_jsonable() for p in paths], [p.steps for p in paths])
 
 
 def cmd_sweep_zeta(args) -> int:
-    params, path = _parse(args)
-    image = zeta(params, path)
-    if args.format == "json":
-        print(_dump(image.to_jsonable()))
-    else:
-        print(image.steps)
-    return 0
+    image = zeta(*_parse(args))
+    return _show(args, image.to_jsonable(), [image.steps])
 
 
 def cmd_stats(args) -> int:
@@ -90,14 +97,12 @@ def cmd_stats(args) -> int:
         "dinv_armleg": dinv_armleg(params, path),
         "step_ranks": step_ranks(params, path),
     }
-    if args.format == "json":
-        print(_dump(stats))
-    else:
-        print(f"area        {stats['area']}")
-        print(f"dinv        {stats['dinv']}")
-        print(f"dinv'       {stats['dinv_armleg']}")
-        print(f"step ranks  {' '.join(map(str, stats['step_ranks']))}")
-    return 0
+    return _show(args, stats, [
+        f"area        {stats['area']}",
+        f"dinv        {stats['dinv']}",
+        f"dinv'       {stats['dinv_armleg']}",
+        f"step ranks  {' '.join(map(str, stats['step_ranks']))}",
+    ])
 
 
 def cmd_invset_info(args) -> int:
@@ -118,28 +123,24 @@ def cmd_invset_info(args) -> int:
              "generators": sorted(c.part.gen)}
             for c in decompose(delta)],
     }
+    lines = [
+        f"generators    {info['generators']}",
+        f"cogenerators  {info['cogenerators']}",
+        f"skeleton      {list(sk.values())}",
+        f"gap           {info['gap']}",
+        f"dinv          {info['dinv']}",
+        f"G image       {info['g_image']}",
+        *(f"residue {c['residue']}  shift {c['shift']}  generators {c['generators']}"
+          for c in info["decomposition"]),
+    ]
     if delta.normalized:
         info["core"] = core_partition(delta).to_jsonable()
-    if args.format == "json":
-        print(_dump(info))
-    else:
-        print(f"generators    {info['generators']}")
-        print(f"cogenerators  {info['cogenerators']}")
-        print(f"skeleton      {list(sk.values())}")
-        print(f"gap           {info['gap']}")
-        print(f"dinv          {info['dinv']}")
-        print(f"G image       {info['g_image']}")
-        for c in info["decomposition"]:
-            print(f"residue {c['residue']}  shift {c['shift']}  "
-                  f"generators {c['generators']}")
-        if "core" in info:
-            print(f"core          {info['core']}")
-    return 0
+        lines.append(f"core          {info['core']}")
+    return _show(args, info, lines)
 
 
 def cmd_classify(args) -> int:
-    params, path = _parse(args)
-    graph = unglue(path)[0]
+    graph = unglue(_parse(args)[1])[0]
     rep = minimal_representative(graph)
     out = {
         "graph": graph.to_jsonable(),
@@ -147,27 +148,22 @@ def cmd_classify(args) -> int:
         "minimal_representative": rep.to_jsonable(),
         "min_gap": gap(rep),
     }
-    if args.format == "json":
-        print(_dump(out))
-    else:
-        print(f"graph      {_dump(out['graph'])}")
-        print(f"canonical  {out['canonical']}")
-        print(f"min rep    {sorted(rep.gen)}")
-        print(f"min gap    {out['min_gap']}")
-    return 0
+    return _show(args, out, [
+        f"graph      {_dump(out['graph'])}",
+        f"canonical  {out['canonical']}",
+        f"min rep    {sorted(rep.gen)}",
+        f"min gap    {out['min_gap']}",
+    ])
 
 
 def cmd_color(args) -> int:
-    params, path = _parse(args)
+    path = _parse(args)[1]
     colored = unglue(path)[1]
-    if args.format == "json":
-        print(_dump(colored.to_jsonable()))
-    else:
-        print(f"steps   {path.steps}")
-        print(f"colors  {''.join(str(c) for c in colored.colors)}")
-        for i, comp in enumerate(colored.components):
-            print(f"color {i}  {comp.steps}")
-    return 0
+    return _show(args, colored.to_jsonable(), [
+        f"steps   {path.steps}",
+        f"colors  {''.join(str(c) for c in colored.colors)}",
+        *(f"color {i}  {comp.steps}" for i, comp in enumerate(colored.components)),
+    ])
 
 
 def cmd_poly(args) -> int:
@@ -178,35 +174,34 @@ def cmd_poly(args) -> int:
         raise NotCoprimeCase(f"the Springer polynomial needs --d 1, got {params.d}")
     else:
         poly = springer_poincare(params.n, params.m)
-    if args.format == "json":
-        print(_dump(poly.to_jsonable()))
-    else:
-        print(repr(poly))
-    return 0
+    return _show(args, poly.to_jsonable(), [repr(poly)])
 
 
-def cmd_series(args) -> int:
+def _show_series(args, series_through) -> int:
+    """Check --cutoff, then show series_through(cutoff)."""
     if args.cutoff < 0:
         raise ValueError(f"--cutoff must be at least 0, got {args.cutoff}")
-    if args.kind == "C":
-        if args.restricted:
-            raise ValueError("--restricted applies to the F series only")
-        series = C_series(_params(args), args.cutoff)
-    else:
-        series = F_series(args.size, args.cutoff, restricted=args.restricted)
-    if args.format == "json":
-        print(_dump(series.to_jsonable()))
-    else:
-        print(f"exact through q^{series.q_cutoff}: {series.poly!r}")
+    series = series_through(args.cutoff)
+    return _show(args, series.to_jsonable(),
+                 [f"exact through q^{series.q_cutoff}: {series.poly!r}"])
+
+
+def cmd_series_C(args) -> int:
+    return _show_series(args, lambda c: C_series(_params(args), c))
+
+
+def cmd_series_F(args) -> int:
+    return _show_series(args, lambda c: F_series(args.size, c, restricted=args.restricted))
+
+
+def cmd_count_bizley(args) -> int:
+    params = _params(args)
+    print(bizley_count(params.n, params.m, params.d))
     return 0
 
 
-def cmd_count(args) -> int:
-    if args.kind == "bizley":
-        params = _params(args)
-        print(bizley_count(params.n, params.m, params.d))
-    else:
-        print(fuss_catalan(args.N, args.k))
+def cmd_count_fuss(args) -> int:
+    print(fuss_catalan(args.N, args.k))
     return 0
 
 
@@ -223,85 +218,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="rational-slope Dyck paths, sweep maps, invariant "
                     "subsets, gluing, and q,t series")
     sub = top.add_subparsers(dest="command", required=True)
+    path = ("--path", dict(required=True))
+    cutoff = ("--cutoff", dict(type=int, required=True))
 
     paths = sub.add_parser("paths", help="path enumeration")
     paths_sub = paths.add_subparsers(dest="subcommand", required=True)
-    pe = paths_sub.add_parser("enumerate", help="list all Dyck paths")
-    _add_grid_flags(pe)
-    pe.add_argument("--count-only", action="store_true")
-    _add_format_flag(pe)
-    pe.set_defaults(func=cmd_paths_enumerate)
+    _command(paths_sub, "enumerate", cmd_paths_enumerate, "list all Dyck paths",
+             *_grid(), ("--count-only", dict(action="store_true")))
 
     sweep = sub.add_parser("sweep", help="the sweep map")
     sweep_sub = sweep.add_subparsers(dest="subcommand", required=True)
-    sz = sweep_sub.add_parser("zeta", help="apply the sweep map to a path")
-    _add_grid_flags(sz)
-    sz.add_argument("--path", required=True)
-    _add_format_flag(sz)
-    sz.set_defaults(func=cmd_sweep_zeta)
-
-    stats = sub.add_parser("stats", help="area, dinv, dinv', step ranks")
-    _add_grid_flags(stats)
-    stats.add_argument("--path", required=True)
-    _add_format_flag(stats)
-    stats.set_defaults(func=cmd_stats)
+    _command(sweep_sub, "zeta", cmd_sweep_zeta, "apply the sweep map to a path",
+             *_grid(), path)
+    _command(sub, "stats", cmd_stats, "area, dinv, dinv', step ranks", *_grid(), path)
 
     invset = sub.add_parser("invset", help="invariant subsets")
     invset_sub = invset.add_subparsers(dest="subcommand", required=True)
-    ii = invset_sub.add_parser("info", help="skeleton, gap, G image, decomposition, core")
-    _add_grid_flags(ii)
-    ii.add_argument("--generators", required=True,
-                    help="comma-separated integers generating the subset")
-    _add_format_flag(ii)
-    ii.set_defaults(func=cmd_invset_info)
+    _command(invset_sub, "info", cmd_invset_info,
+             "skeleton, gap, G image, decomposition, core", *_grid(),
+             ("--generators", dict(required=True,
+                                   help="comma-separated integers generating the subset")))
 
-    classify = sub.add_parser("classify",
-                              help="gluing digraph and minimal representative of a path")
-    _add_grid_flags(classify)
-    classify.add_argument("--path", required=True)
-    _add_format_flag(classify)
-    classify.set_defaults(func=cmd_classify)
-
-    color = sub.add_parser("color", help="step coloring of a path")
-    _add_grid_flags(color)
-    color.add_argument("--path", required=True)
-    _add_format_flag(color)
-    color.set_defaults(func=cmd_color)
-
-    poly = sub.add_parser("poly", help="q,t polynomials")
-    poly.add_argument("kind", choices=("catalan", "springer"))
-    _add_grid_flags(poly)
-    _add_format_flag(poly)
-    poly.set_defaults(func=cmd_poly)
+    _command(sub, "classify", cmd_classify,
+             "gluing digraph and minimal representative of a path", *_grid(), path)
+    _command(sub, "color", cmd_color, "step coloring of a path", *_grid(), path)
+    _command(sub, "poly", cmd_poly, "q,t polynomials",
+             ("kind", dict(choices=("catalan", "springer"))), *_grid())
 
     series = sub.add_parser("series", help="gap-truncated q,t series")
     series_sub = series.add_subparsers(dest="kind", required=True)
-    sc = series_sub.add_parser("C", help="the C series of a grid")
-    _add_grid_flags(sc, required=False)
-    sf = series_sub.add_parser("F", help="the F series of tuples")
-    sf.add_argument("--size", type=int, default=2, help="tuple length (default 2)")
-    for p in (sc, sf):
-        p.add_argument("--cutoff", type=int, required=True)
-        p.add_argument("--restricted", action="store_true",
-                       help="fix the last tuple entry to 0 (F series only)")
-        _add_format_flag(p)
-        p.set_defaults(func=cmd_series)
+    _command(series_sub, "C", cmd_series_C, "the C series of a grid",
+             *_grid(required=False), cutoff)
+    _command(series_sub, "F", cmd_series_F, "the F series of tuples",
+             ("--size", dict(type=int, default=2, help="tuple length (default 2)")), cutoff,
+             ("--restricted", dict(action="store_true", help="fix the last tuple entry to 0")))
 
     count = sub.add_parser("count", help="path and region counts")
     count_sub = count.add_subparsers(dest="kind", required=True)
-    cb = count_sub.add_parser("bizley", help="Dyck paths of a grid")
-    _add_grid_flags(cb, required=False)
-    cb.set_defaults(func=cmd_count)
-    cf = count_sub.add_parser("fuss", help="the Fuss-Catalan number c_N(k)")
-    cf.add_argument("--N", type=int, default=1)
-    cf.add_argument("--k", type=int, default=1)
-    cf.set_defaults(func=cmd_count)
+    _command(count_sub, "bizley", cmd_count_bizley, "Dyck paths of a grid",
+             *_grid(required=False), with_format=False)
+    _command(count_sub, "fuss", cmd_count_fuss, "the Fuss-Catalan number c_N(k)",
+             ("--N", dict(type=int, default=1)), ("--k", dict(type=int, default=1)),
+             with_format=False)
 
-    ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", required=True,
-                     choices=sorted([*verify.SUITES, "all"]))
-    ver.add_argument("--max-size", type=int, default=None)
-    ver.set_defaults(func=cmd_verify)
+    _command(sub, "verify", cmd_verify, "run a verification suite",
+             ("--suite", dict(required=True, choices=sorted([*verify.SUITES, "all"]))),
+             ("--max-size", dict(type=int, default=None)), with_format=False)
 
     return top
 
@@ -310,10 +272,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

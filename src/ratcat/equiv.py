@@ -262,17 +262,14 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
 def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     """The invariant subset with skeleton parts S_i = d*label_i + i.
 
-    The vertex order must make the level function weakly monotone; the
-    given order is kept when it already is, otherwise vertices are
-    stably reordered by level.  The result is 0-normalized and its
-    gluing data has the same canonical form as the input.
+    The vertex order must make the level function weakly monotone, so
+    vertices are stably sorted by level: the given order is kept within
+    a level, and kept whole when it already is monotone.  The result is
+    0-normalized and its gluing data has the same canonical form as the
+    input.
     """
     d = graph.d
-    f = graph.levels()
-    if all(f[i] <= f[i + 1] for i in range(d - 1)):
-        order = list(range(d))
-    else:
-        order = sorted(range(d), key=lambda v: (f[v], v))
+    order = sorted(range(d), key=graph.levels().__getitem__)
     values = []
     for i, v in enumerate(order):
         values.extend(d * x + i for x in graph.labels[v])

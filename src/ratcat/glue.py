@@ -128,19 +128,18 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     """Assemble the Dyck path of a gluing digraph, one level at a time.
 
     Within a level the order of gluing does not matter; vertices are
-    processed in index order.  The source window starts at the point of
-    rank -m, the start of every Dyck path.
+    processed in index order, by one stable sort on the level, which puts
+    the source, the one vertex of level 0, first.  The source window
+    starts at the point of rank -m, the start of every Dyck path.
     """
     n, m = graph.n, graph.m
-    f = graph.levels()
-    src = periodic_from_skeleton(n, m, graph.labels[graph.source])
+    source, *rest = sorted(range(graph.d), key=graph.levels().__getitem__)
+    src = periodic_from_skeleton(n, m, graph.labels[source])
     if -m not in src.skel:
         raise InvalidGraph("source label is not 0-normalized")
     cur = _glued(GridParams(n, m, 1), src.window(-m))
-    for level in range(1, max(f, default=0) + 1):
-        for v in range(graph.d):
-            if f[v] == level:
-                cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
+    for v in rest:
+        cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
     return cur
 
 

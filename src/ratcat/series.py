@@ -14,15 +14,9 @@ from dataclasses import dataclass
 from math import factorial, gcd
 
 from .equiv import build_graph, canonical_form
-from .errors import FormulaMismatch, LimitExceeded
+from .errors import FormulaMismatch
 from .invset import InvariantSet, dinv_invset, gap, invset_from_path_coprime
-from .lattice import (
-    DEFAULT_ENUM_LIMIT,
-    GridParams,
-    area,
-    enumerate_paths,
-    subdiagonal_box_count,
-)
+from .lattice import GridParams, area, enumerate_paths, subdiagonal_box_count
 from .sweep import dinv_sweep
 
 
@@ -119,10 +113,10 @@ class QTSeries:
         return {"q_cutoff": self.q_cutoff, "terms": self.poly.to_jsonable()}
 
 
-def qt_catalan(params: GridParams, limit: int = DEFAULT_ENUM_LIMIT) -> QTPoly:
+def qt_catalan(params: GridParams) -> QTPoly:
     """Sum of q^area t^dinv over all Dyck paths of the rectangle."""
     out = QTPoly()
-    for path in enumerate_paths(params, limit):
+    for path in enumerate_paths(params):
         out.add_term(area(params, path), dinv_sweep(params, path))
     return out
 
@@ -151,18 +145,19 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
                 gen[val % p.N] = val
         return InvariantSet(p, tuple(gen))
 
-    def rec(r, left, chosen):
+    # depth-first over (class r, budget left, chosen components), children
+    # pushed in reverse so they pop in order; an explicit stack, since the
+    # depth is d
+    stack = [(0, budget, ())]
+    while stack:
+        r, left, chosen = stack.pop()
         if r == p.d:
             out.append(assemble(chosen))
-            return
-        for part, g in zip(base, base_gaps):
-            if g > left:
-                continue
-            shifts = (0,) if r == 0 else range(left - g + 1)
-            for shift in shifts:
-                rec(r + 1, left - g - shift, chosen + [(part, shift)])
-
-    rec(0, budget, [])
+            continue
+        stack.extend(reversed([
+            (r + 1, left - g - shift, chosen + ((part, shift),))
+            for part, g in zip(base, base_gaps) if g <= left
+            for shift in ((0,) if r == 0 else range(left - g + 1))]))
     return out
 
 
@@ -191,19 +186,20 @@ def F_series(n: int, deg_cutoff: int, restricted: bool = False) -> QTSeries:
     poly = QTPoly()
     free = n - 1 if restricted else n
 
-    def rec(head, left):
+    # depth-first over (head, degree left), children pushed in reverse so
+    # they pop in order; an explicit stack, since the depth is n
+    stack = [((), deg_cutoff)]
+    while stack:
+        head, left = stack.pop()
         if len(head) == free:
             a = head + (0,) if restricted else head
             poly.add_term(deg_cutoff - left, _tuple_stat(a))
-            return
-        for k in range(left + 1):
-            rec(head + (k,), left - k)
-
-    rec((), deg_cutoff)
+            continue
+        stack.extend((head + (k,), left - k) for k in range(left, -1, -1))
     return QTSeries(poly, deg_cutoff)
 
 
-def springer_poincare(n: int, m: int, limit: int = DEFAULT_ENUM_LIMIT) -> QTPoly:
+def springer_poincare(n: int, m: int) -> QTPoly:
     """Poincare polynomial of the invariant-subspace variety, in t.
 
     Computed both as sum of t^(2(delta - dinv)) and as sum of t^(2|D|)
@@ -212,11 +208,9 @@ def springer_poincare(n: int, m: int, limit: int = DEFAULT_ENUM_LIMIT) -> QTPoly
     if gcd(n, m) != 1:
         raise ValueError("n and m must be coprime")
     params = GridParams(n, m, 1)
-    if n + m > limit:
-        raise LimitExceeded(f"n+m = {n + m} exceeds the limit {limit}")
     by_dinv = QTPoly()
     by_boxes = QTPoly()
-    for path in enumerate_paths(params, limit):
+    for path in enumerate_paths(params):
         by_dinv.add_term(0, 2 * (params.delta - dinv_sweep(params, path)))
         by_boxes.add_term(0, 2 * path.box_count())
     if by_dinv != by_boxes:

@@ -11,6 +11,7 @@ finishes in well under the documented time budgets.
 
 from __future__ import annotations
 
+from inspect import signature
 from math import gcd
 
 from .equiv import (
@@ -69,7 +70,7 @@ def _every_path(params: GridParams, names, facts):
         yield name, not fail, fail
 
 
-def suite_golden_zeta(max_size=None):
+def suite_golden_zeta():
     for params, steps, expected in [
         (GridParams(5, 3, 1), "hhvhvvvv", "hvhvhvvv"),
         (GridParams(3, 2, 3), "hvhvvhhhvhvvvvv", "hhhvvhvvvvhhvvv"),
@@ -118,7 +119,7 @@ def suite_round_trips(max_size=15):
             _round_trip)
 
 
-def suite_worked_12_8(max_size=None):
+def suite_worked_12_8():
     params = GridParams(3, 2, 4)
     delta = invset_from_generators(
         params, [0, 1, 5, 8, 9, 16, 27, 30, 34, 35, 38, 43])
@@ -174,7 +175,7 @@ def suite_counting(max_size=14):
         yield f"Fuss-Catalan c_{N}({k})", c == bizley_count(n, m, d), str(c)
 
 
-def suite_area_min_gap(max_size=None):
+def suite_area_min_gap():
     for (n, m, d) in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (3, 2, 2)]:
         params = GridParams(n, m, d)
         by_class: dict[bytes, list] = {}
@@ -190,7 +191,7 @@ def suite_area_min_gap(max_size=None):
                good, f"{len(by_class)} classes")
 
 
-def suite_series(max_size=None):
+def suite_series():
     c22 = C_series(GridParams(1, 1, 2), 10)
     expected = QTPoly({(0, 1): 1, **{(k, 0): 1 for k in range(1, 11)}})
     yield "C_{2,2} = (q + t - qt)/(1 - q) through q^10", c22.poly == expected, ""
@@ -262,7 +263,7 @@ def _matches_paren_matching(steps: str, colors) -> bool:
     return not stack
 
 
-def suite_conjecture_probe(max_size=None):
+def suite_conjecture_probe():
     """Reported only: is C * (1-q)^(d-1) symmetric in q and t up to cutoff?
 
     Rests on an open conjecture, so its checks have ok None: they are
@@ -300,26 +301,35 @@ SUITES = {
 }
 
 
+def _sized(suite) -> bool:
+    """Whether a suite takes a max_size, read off its own signature."""
+    return "max_size" in signature(suite).parameters
+
+
 def run_suite(name: str, max_size: int | None = None):
     """Run one suite (or 'all'); returns (ok, lines).
 
     A check is the line ``PASS|FAIL|REPORT <name>[: <detail>]``, REPORT
     when its ok is None.  A suite that raises adds, after the checks it
     made, ``FAIL <suite>: raised <Type>: <message>``; 'all' goes on with
-    the remaining suites.  max_size None keeps each suite's default;
-    below 2 it is rejected: no grid has N + M < 2, so the sized suites
-    would check nothing and pass.
+    the remaining suites.  max_size None keeps each suite's default, and
+    'all' passes any other max_size to the sized suites only.  A max_size
+    below 2 is rejected, since no grid has N + M < 2 and the sized suites
+    would check nothing and pass; so is one given to an unsized suite.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")
     if max_size is not None and max_size < 2:
         raise ValueError(f"max_size must be at least 2, got {max_size}")
+    if max_size is not None and name != "all" and not _sized(SUITES[name]):
+        raise ValueError(f"suite {name} takes no max_size")
     ok, lines = True, []
     for key in (SUITES if name == "all" else [name]):
         suite = SUITES[key]
         try:
-            for check, good, detail in suite() if max_size is None else suite(max_size):
+            sized = max_size is not None and _sized(suite)
+            for check, good, detail in suite(max_size) if sized else suite():
                 tag = "REPORT" if good is None else "PASS" if good else "FAIL"
                 lines.append(f"{tag} {check}" + (f": {detail}" if detail else ""))
                 ok &= good is not False

@@ -103,6 +103,57 @@ def test_series_and_poly(capsys):
     assert code == 0 and "t" in out
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("stats", "--n", "3", "--m", "2", "--d", "3", "--path", "hvhvvhhhvhvvvvv"),
+     "area        7\n"
+     "dinv        7\n"
+     "dinv'       7\n"
+     "step ranks  -2 1 -1 2 0 -2 1 4 7 5 8 6 4 2 0\n"),
+    (("invset", "info", "--n", "1", "--m", "1", "--d", "2", "--generators", "0,3"),
+     "generators    [0, 3]\n"
+     "cogenerators  [-2, 1]\n"
+     "skeleton      [-2, 0, 1, 3]\n"
+     "gap           1\n"
+     "dinv          0\n"
+     "G image       hvhv\n"
+     "residue 0  shift 0  generators [0]\n"
+     "residue 1  shift 1  generators [0]\n"
+     "core          [1]\n"),
+    (("classify", "--n", "3", "--m", "2", "--d", "4", "--path", "hvhvvhhhvhvvhhvvvvvv"),
+     'graph      {"edges":[[0,1],[0,2],[0,3],[1,3]],"labels":[[-2,0,1,2,4],'
+     '[4,6,7,8,10],[-2,-1,0,1,2],[4,5,6,7,8]],"source":0}\n'
+     'canonical  {"edges":[[1,0],[1,2],[1,3],[3,2]],"labels":[[-2,-1,0,1,2],'
+     '[-2,0,1,2,4],[4,5,6,7,8],[4,6,7,8,10]],"source":1}\n'
+     "min rep    [0, 2, 6, 8, 10, 16, 25, 27, 31, 33, 35, 41]\n"
+     "min gap    14\n"),
+    (("color", "--n", "3", "--m", "2", "--d", "2", "--path", "hvhvvhhvvv"),
+     "steps   hvhvvhhvvv\n"
+     "colors  1111100000\n"
+     "color 0  hhvvv\n"
+     "color 1  hvhvv\n"),
+    (("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "4"),
+     "exact through q^4: q + t + q^2 + q^3 + q^4\n"),
+    (("series", "F", "--size", "2", "--cutoff", "3", "--restricted"),
+     "exact through q^3: q + t + q^2 + q^3\n"),
+    (("paths", "enumerate", "--n", "2", "--m", "1", "--d", "2"),
+     "hhvvvv\nhvhvvv\nhvvhvv\n"),
+])
+def test_human_output_golden(capsys, argv, expected):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == expected
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (("series", "F", "--size", "2000", "--cutoff", "0"), "t^1999000"),
+    (("series", "C", "--n", "1", "--m", "1", "--d", "1500", "--cutoff", "0"), "t^1124250"),
+])
+def test_series_deeper_than_the_recursion_limit(capsys, argv, answer):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == f"exact through q^0: {answer}\n"
+
+
 def test_verify_suite_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "golden-zeta")
     assert code == 0
@@ -203,8 +254,6 @@ def test_empty_ranges_rejected(capsys, argv, message):
 @pytest.mark.parametrize("argv, message", [
     (("poly", "springer", "--n", "3", "--m", "5", "--d", "2"),
      "the Springer polynomial needs --d 1, got 2"),
-    (("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "3", "--restricted"),
-     "--restricted applies to the F series only"),
 ])
 def test_ignored_flags_rejected(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -217,6 +266,7 @@ def test_ignored_flags_rejected(capsys, argv, message):
     ("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "3", "--size", "2"),
     ("count", "fuss", "--N", "2", "--k", "2", "--n", "4", "--m", "2"),
     ("count", "bizley", "--n", "1", "--m", "1", "--d", "3", "--N", "2", "--k", "2"),
+    ("series", "C", "--n", "1", "--m", "1", "--d", "2", "--cutoff", "3", "--restricted"),
 ])
 def test_flags_of_another_kind_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -257,6 +307,28 @@ def test_round_trip_checks_fail_independently(monkeypatch):
                      "PASS B^-1 o B canonical-equal on graphs of Y_(1,2)",
                      "PASS B o B^-1 = id on Y_(2,1)",
                      "PASS B^-1 o B canonical-equal on graphs of Y_(2,1)"]
+
+
+@pytest.mark.parametrize("suite", [
+    "golden-zeta", "worked-12-8", "area-min-gap", "series", "conjecture-probe"])
+def test_unsized_suite_rejects_max_size(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite, "--max-size", "3")
+    assert code == 1 and out == ""
+    assert err == f"error: suite {suite} takes no max_size\n"
+
+
+def test_all_passes_max_size_to_sized_suites_only(monkeypatch):
+    from ratcat import verify
+
+    def sized(max_size=14):
+        yield f"sized {max_size}", True, ""
+
+    def unsized():
+        yield "unsized", True, ""
+
+    monkeypatch.setattr(verify, "SUITES", {"sized": sized, "unsized": unsized})
+    assert verify.run_suite("all", 3) == (True, ["PASS sized 3", "PASS unsized"])
+    assert verify.run_suite("all") == (True, ["PASS sized 14", "PASS unsized"])
 
 
 def test_verify_smallest_max_size_checks_a_grid(capsys):

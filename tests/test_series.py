@@ -4,6 +4,7 @@ from ratcat import (
     C_series,
     F_series,
     GridParams,
+    LimitExceeded,
     QTPoly,
     QTSeries,
     bizley_count,
@@ -102,6 +103,14 @@ def test_springer_poincare():
     assert sum(poly.coeffs.values()) == bizley_count(3, 5, 1)
     with pytest.raises(ValueError):
         springer_poincare(2, 4)
+
+
+def test_qt_polynomials_stop_at_the_enumeration_limit():
+    # N + M = 25, one past the limit that enumerate_paths enforces
+    with pytest.raises(LimitExceeded):
+        qt_catalan(GridParams(13, 12, 1))
+    with pytest.raises(LimitExceeded):
+        springer_poincare(13, 12)
 
 
 def test_fuss_catalan():
