@@ -4,19 +4,19 @@ Every coprime skeleton determines an (n, m)-periodic lattice path: a
 point lies on the path exactly when its rank belongs to the skeleton.
 Gluing splices length-(n+m) windows of such paths into a growing Dyck
 path, one level of the gluing digraph at a time; removal of good
-intervals inverts the construction and simultaneously colors the steps
-of the path by the vertex that contributed them.
+intervals inverts it, and the removed windows color the path's steps.
 
-Paths are plain step strings, and a point is known only by its rank:
-lattice.step_ranks gives the rank of the point each step leaves, and the
-end point of a path has the rank -m of its start.  These are the ranks
-of the digraph labels, so no coordinates are needed.  No floating point
-is used anywhere.
+Paths are plain step strings, and a point is known only by its rank,
+the rank of the digraph labels: a path starts at rank -m, 'h' adds n
+and 'v' subtracts m.  A balanced window moves the rest of the path by
+(-m, n) or back, which keeps its ranks, so gluing splices and ungluing
+peels one rank list along with the steps.  No floating point is used.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     DomainError,
@@ -105,42 +105,63 @@ def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     return PeriodicPath(n, m, frozenset(label), coprime_from_skeleton(n, m, label).gen)
 
 
+def _splice(steps: str, ranks: list[int], periodic: PeriodicPath) -> str:
+    """Splice a window of periodic into steps at their first point on it.
+
+    ranks are the point ranks of steps, with or without the end point,
+    whose rank -m is the start's.  The window's own ranks are inserted;
+    it walks back to its start rank, so the rest keeps its ranks.
+    """
+    skel = periodic.skel
+    for cut, r in enumerate(ranks):
+        if r in skel:
+            break
+    else:
+        raise NoIntersection("the periodic path misses the current path")
+    window = periodic.window(r)
+    window_ranks = []
+    for s in window:
+        window_ranks.append(r)
+        r += periodic.n if s == "h" else -periodic.m
+    if r != ranks[cut]:
+        raise InvariantViolation(f"window {window!r} does not return to rank {ranks[cut]}")
+    ranks[cut:cut] = window_ranks
+    return steps[:cut] + window + steps[cut:]
+
+
 def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
     """Splice one fundamental window of a periodic path into dhat.
 
     The window enters at the first point of dhat (in path order) lying
     on the periodic path; the remainder of dhat continues after the
-    window, which amounts to translating it by (-m, n).  The end point
-    of dhat has the rank of its start, so only step ranks are searched.
+    window, which amounts to translating it by (-m, n).
     """
-    skel = periodic.skel
-    for cut, r in enumerate(step_ranks(dhat.params, dhat)):
-        if r in skel:
-            break
-    else:
-        raise NoIntersection("the periodic path misses the current path")
     p = dhat.params
     return _glued(GridParams(p.n, p.m, p.d + 1),
-                  dhat.steps[:cut] + periodic.window(r) + dhat.steps[cut:])
+                  _splice(dhat.steps, step_ranks(p, dhat), periodic))
 
 
 def glue_all(graph: LabeledDigraph) -> DyckPath:
     """Assemble the Dyck path of a gluing digraph, one level at a time.
 
-    Within a level the order of gluing does not matter; vertices are
-    processed in index order, by one stable sort on the level, which puts
-    the source, the one vertex of level 0, first.  The source window
-    starts at the point of rank -m, the start of every Dyck path.
+    Within a level the order of gluing does not matter; one stable sort
+    on the level puts the source, the one vertex of level 0, first, and
+    its window starts at the point of rank -m, the start of every path.
+
+    The ranks are spliced along with the steps, and only the final path
+    is validated.  That covers every intermediate path: each window walks
+    back to its start rank, so it is balanced and its splice only inserts
+    ranks; an intermediate path's point ranks are among the final path's,
+    all >= -m when that one is Dyck.
     """
     n, m = graph.n, graph.m
-    source, *rest = sorted(range(graph.d), key=graph.levels().__getitem__)
-    src = periodic_from_skeleton(n, m, graph.labels[source])
-    if -m not in src.skel:
+    order = sorted(range(graph.d), key=graph.levels().__getitem__)
+    if -m not in graph.labels[order[0]]:
         raise InvalidGraph("source label is not 0-normalized")
-    cur = _glued(GridParams(n, m, 1), src.window(-m))
-    for v in rest:
-        cur = glue_once(cur, periodic_from_skeleton(n, m, graph.labels[v]))
-    return cur
+    steps, ranks = "", [-m]  # the empty path: one point, of rank -m
+    for v in order:
+        steps = _splice(steps, ranks, periodic_from_skeleton(n, m, graph.labels[v]))
+    return _glued(GridParams(n, m, graph.d), steps)
 
 
 def good_intervals(path: DyckPath) -> list[int]:
@@ -180,12 +201,8 @@ class ColoredPath:
     periodic path, with exactly one step per rank of its skeleton; after
     sliding the connected runs along that periodic path by multiples of
     (m, -n) they tile a fundamental window, and the window below its own
-    diagonal is the (n, m)-Dyck path stored in components[color].
-
-    That window is read off the class directly: by the cycle lemma, since
-    gcd(n, m) = 1, exactly one rotation of a word with n 'v' and m 'h'
-    stays weakly below the diagonal, and component v is that rotation of
-    the steps of class v taken in path order.
+    diagonal is the (n, m)-Dyck path stored in components[color]: the
+    one Dyck rotation of the steps of the class taken in path order.
     """
 
     base: DyckPath
@@ -203,95 +220,76 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     """Invert the gluing: recover the labeled digraph and the coloring.
 
     Good intervals of the current path correspond to the sinks of the
-    remaining digraph; they are recorded and removed in rounds until a
-    single (n, m)-window is left, which labels the source.  Edges join
-    intersecting labels and point from later-removed to earlier-removed
-    vertices; original step positions are tracked through the removals
-    and become the coloring.
+    remaining digraph; they are removed in rounds until a single
+    (n, m)-window is left, which labels the source.  Each removed window
+    is kept as its ranks and the original positions of its steps, its
+    color class.  Edges join intersecting labels and point from
+    later-removed to earlier-removed vertices.
 
-    The point ranks are computed once and peeled along with the steps:
-    removing a balanced window translates the tail by (m, -n), which
-    changes a box rank n*x + m*y + const by -n*m + m*n = 0, so the ranks
-    of the shortened path are the old ranks with the window deleted.
+    The point ranks are peeled along with the steps: removing a balanced
+    window translates the tail by (m, -n), which changes a box rank
+    n*x + m*y + const by -n*m + m*n = 0.
     """
-    p = path.params
-    n, m = p.n, p.m
+    n, m = path.params.n, path.params.m
     width = n + m
-    total = len(path.steps)
-    if not total:
+    steps = path.steps
+    if not steps:
         raise ValueError("cannot unglue the empty path")
     point_ranks = _point_ranks(path)
     ranks = list(point_ranks)
-    orig = list(range(total))
-    provisional = [None] * total
-    batches: list[list[frozenset[int]]] = []
+    orig = list(range(len(steps)))
+    rounds: list[list[tuple[frozenset[int], list[int]]]] = []
     while len(ranks) > 1:
         goods = _good_positions(ranks, width)
         if not goods:
-            raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
-        b_idx = len(batches)
-        batches.append([frozenset(ranks[r:r + width]) for r in goods])
-        for pos in range(len(goods) - 1, -1, -1):
-            r = goods[pos]
-            for z in orig[r:r + width]:
-                provisional[z] = (b_idx, pos)
+            raise InvariantViolation(f"no good interval left while peeling {steps!r}")
+        skels = [frozenset(ranks[r:r + width]) for r in goods]
+        if len(frozenset().union(*skels)) != sum(map(len, skels)):
+            raise InvariantViolation(f"good intervals of one round meet in {steps!r}")
+        rounds.append(list(zip(skels, [orig[r:r + width] for r in goods])))
+        for r in reversed(goods):
             del orig[r:r + width]
             del ranks[r:r + width]
-    if len(batches[-1]) != 1:
-        raise InvariantViolation(f"peeling {path.steps!r} did not end at a single window")
+    if len(rounds[-1]) != 1:
+        raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
 
-    vertex_of = {}
-    skels = []
-    batch_of = []
-    for b_idx in range(len(batches) - 1, -1, -1):
-        for pos, skel in enumerate(batches[b_idx]):
-            vertex_of[(b_idx, pos)] = len(skels)
-            skels.append(skel)
-            batch_of.append(b_idx)
-    labels = tuple(tuple(sorted(skel)) for skel in skels)
-    d = len(labels)
-    edges = set()
-    for u in range(d):
-        for v in range(d):
-            if u != v and not skels[u].isdisjoint(skels[v]):
-                if batch_of[u] == batch_of[v]:
-                    raise InvariantViolation(
-                        f"good intervals of one round meet in {path.steps!r}")
-                if batch_of[u] > batch_of[v]:
-                    edges.add((u, v))
-    graph = LabeledDigraph(n, m, labels, frozenset(edges), source=0)
+    # the source (removed last) first; a round's labels are disjoint, so u < v on each edge
+    windows = [w for rnd in reversed(rounds) for w in rnd]
+    skels = [skel for skel, _ in windows]
+    labels = [sorted(skel) for skel in skels]
+    graph = LabeledDigraph(n, m, labels, {
+        (u, v) for u in range(len(skels)) for v in range(u + 1, len(skels))
+        if not skels[u].isdisjoint(skels[v])}, source=0)
 
-    colors = tuple(vertex_of[tag] for tag in provisional)
-    classes = [[] for _ in range(d)]
-    for z, c in enumerate(colors):
-        classes[c].append(z)
-    coprime = GridParams(n, m, 1)
+    colors = [0] * len(steps)
     components = []
-    for v, cls in enumerate(classes):
-        word = "".join([path.steps[z] for z in cls])
+    for v, (_, positions) in enumerate(windows):
+        word = "".join(map(steps.__getitem__, positions))
         if len(word) != width or word.count("v") != n:
-            raise InvariantViolation(f"color class {v} of {path.steps!r} is not balanced")
-        if tuple(sorted([point_ranks[z] for z in cls])) != labels[v]:
-            raise InvariantViolation(
-                f"color class {v} of {path.steps!r} does not carry each "
-                "skeleton rank exactly once")
-        components.append(DyckPath(coprime, _rotation_below_diagonal(word, n, m)))
+            raise InvariantViolation(f"color class {v} of {steps!r} is not balanced")
+        if sorted(map(point_ranks.__getitem__, positions)) != labels[v]:
+            raise InvariantViolation(f"color class {v} of {steps!r} does not carry "
+                                     "each skeleton rank exactly once")
+        components.append(_component(n, m, word))
+        for z in positions:
+            colors[z] = v
+    colors = tuple(colors)
     _check_run_translations(path, colors, point_ranks)
     return graph, ColoredPath(path, colors, tuple(components))
 
 
-def _rotation_below_diagonal(word: str, n: int, m: int) -> str:
-    """The unique rotation of word (n 'v', m 'h') weakly below the diagonal.
-
-    The rotation starts right after the first maximum of the prefix sum
-    that adds m per 'v' and subtracts n per 'h' (the cycle lemma).
-    """
+@lru_cache(maxsize=4096)
+def _component(n: int, m: int, word: str) -> DyckPath:
+    """The one Dyck rotation of a word with n 'v' and m 'h' (the cycle lemma):
+    it starts after the first maximum of the prefix sum adding m per 'v' and
+    -n per 'h'.  Memoized, as color classes repeat few words; a word with no
+    Dyck rotation raises on every call, as lru_cache caches no exception."""
     height = best = cut = 0
     for i, s in enumerate(word, 1):
         height += m if s == "v" else -n
         if height > best:
             best, cut = height, i
-    return word[cut:] + word[:cut]
+    return DyckPath(GridParams(n, m, 1), word[cut:] + word[:cut])
 
 
 def _check_run_translations(path: DyckPath, colors, ranks: list[int]) -> None:

@@ -342,12 +342,31 @@ def test_verify_smallest_max_size_checks_a_grid(capsys):
                                 "PASS B^-1 o B canonical-equal on graphs of Y_(1,1)"]
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     done = subprocess.run(
         [sys.executable, "-m", "ratcat", "count", "bizley", "--n", "1", "--m", "1",
-         "--d", "3"], env=env, capture_output=True, text=True, timeout=60)
+         "--d", "3"], env=_src_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "5\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all", "--max-size", "4"],
+                                  ["paths", "enumerate", "--n", "1", "--m", "1", "--d", "8"]])
+def test_closed_stdout_ends_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has left before the first line is written
+    try:
+        done = subprocess.run([sys.executable, "-m", "ratcat", *argv], env=_src_env(),
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr
+    assert done.returncode == 1

@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ratcat import (
+    DomainError,
     DyckPath,
     GridParams,
     InvalidSkeleton,
@@ -417,3 +420,108 @@ def test_run_check_raises_on_swapped_coloring():
     colors[4], colors[5] = colors[5], colors[4]  # colors 2 and 0 meet at step 5
     with pytest.raises(InvariantViolation, match="color 2 of"):
         glue._check_run_translations(D, tuple(colors), glue._point_ranks(D))
+
+
+def _reference_glue_all(graph):
+    """The gluing as a chain of validated splices, each walking the ranks
+    of the whole current path to find its cut."""
+    n, m = graph.n, graph.m
+    source, *rest = sorted(range(graph.d), key=graph.levels().__getitem__)
+    cur = DyckPath(GridParams(n, m, 1),
+                   periodic_from_skeleton(n, m, graph.labels[source]).window(-m))
+    for v in rest:
+        periodic = periodic_from_skeleton(n, m, graph.labels[v])
+        ranks = step_ranks(cur.params, cur)
+        cut = next(z for z, r in enumerate(ranks) if r in periodic.skel)
+        cur = DyckPath(GridParams(n, m, cur.params.d + 1),
+                       cur.steps[:cut] + periodic.window(ranks[cut]) + cur.steps[cut:])
+    return cur
+
+
+def _brute_force_component(n, m, word):
+    """The rotations of word that DyckPath accepts."""
+    found = []
+    for z in range(len(word)):
+        try:
+            found.append(DyckPath(GridParams(n, m, 1), word[z:] + word[:z]))
+        except DomainError:
+            pass
+    return found
+
+
+def _reference_unglue(path):
+    """Peeling that tags each step with (round, position in round), then
+    numbers the tags source first; components by brute-force rotation."""
+    n, m = path.params.n, path.params.m
+    width = n + m
+    ranks = glue._point_ranks(path)
+    orig = list(range(len(path.steps)))
+    tags = [None] * len(path.steps)
+    batches = []
+    while len(ranks) > 1:
+        goods = good_intervals(DyckPath(GridParams(n, m, (len(ranks) - 1) // width),
+                                        "".join(path.steps[z] for z in orig)))
+        batches.append([frozenset(ranks[r:r + width]) for r in goods])
+        for pos in range(len(goods) - 1, -1, -1):
+            r = goods[pos]
+            for z in orig[r:r + width]:
+                tags[z] = (len(batches) - 1, pos)
+            del orig[r:r + width]
+            del ranks[r:r + width]
+    vertex_of, skels, batch_of = {}, [], []
+    for b in range(len(batches) - 1, -1, -1):
+        for pos, skel in enumerate(batches[b]):
+            vertex_of[(b, pos)] = len(skels)
+            skels.append(skel)
+            batch_of.append(b)
+    edges = {(u, v) for u in range(len(skels)) for v in range(len(skels))
+             if batch_of[u] > batch_of[v] and skels[u] & skels[v]}
+    graph = LabeledDigraph(n, m, tuple(tuple(sorted(s)) for s in skels),
+                           frozenset(edges), source=0)
+    colors = tuple(vertex_of[tag] for tag in tags)
+    components = []
+    for v in range(len(skels)):
+        word = "".join(s for s, c in zip(path.steps, colors) if c == v)
+        [component] = _brute_force_component(n, m, word)
+        components.append(component)
+    return graph, colors, tuple(components)
+
+
+def _seeded_paths(params, count, seed):
+    """Dyck paths from shuffled words, each cut after its first prefix
+    maximum of m per 'v' minus n per 'h' (so that it stays below the
+    diagonal)."""
+    rng = random.Random(seed)
+    word = list("v" * params.N + "h" * params.M)
+    for _ in range(count):
+        rng.shuffle(word)
+        height = best = cut = 0
+        for z, s in enumerate(word, 1):
+            height += params.m if s == "v" else -params.n
+            if height > best:
+                best, cut = height, z
+        yield DyckPath(params, "".join(word[cut:] + word[:cut]))
+
+
+def test_unglue_and_glue_all_match_references():
+    sampled = [D for k, params in enumerate([GridParams(3, 2, 8), GridParams(3, 2, 16),
+                                             GridParams(1, 1, 40)])
+               for D in _seeded_paths(params, 40, seed=k)]
+    for D in [*_paths_up_to(14), *sampled]:
+        graph, colored = unglue(D)
+        assert (graph, colored.colors, colored.components) == _reference_unglue(D), D.steps
+        assert glue_all(graph).steps == _reference_glue_all(graph).steps == D.steps
+
+
+def test_component_is_the_unique_dyck_rotation():
+    for n, m in [(n, m) for n in range(1, 9) for m in range(1, 10 - n)
+                 if math.gcd(n, m) == 1]:
+        for vs in itertools.combinations(range(n + m), n):
+            word = "".join("v" if z in vs else "h" for z in range(n + m))
+            assert [glue._component(n, m, word)] == \
+                _brute_force_component(n, m, word), word
+    glue._component.cache_clear()
+    for _ in range(2):  # no rotation of a word with two 'v' is a (1, 2)-path
+        with pytest.raises(DomainError):
+            glue._component(1, 2, "vvh")
+    assert glue._component.cache_info().currsize == 0
