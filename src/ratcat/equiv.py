@@ -149,20 +149,20 @@ class LabeledDigraph:
                 rec = coprime_from_skeleton(self.n, self.m, lbl)
             except InvalidSkeleton as exc:
                 raise InvalidGraph(f"label {i} is not a skeleton: {exc}") from exc
-            if rec.min_element() < 0:
+            low = rec.min_element()
+            if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
-            if i == self.source and rec.min_element() != 0:
+            if i == self.source and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
         sets = [set(lbl) for lbl in labels]
-        for i in range(d):
-            for j in range(i + 1, d):
-                meets = not sets[i].isdisjoint(sets[j])
-                joined = (i, j) in edges or (j, i) in edges
-                if meets != joined:
-                    raise InvalidGraph(
-                        f"vertices {i},{j}: intersection and edge disagree")
-                if (i, j) in edges and (j, i) in edges:
-                    raise InvalidGraph(f"double edge between {i} and {j}")
+        meets = {(i, j) for i in range(d) for j in range(i + 1, d)
+                 if not sets[i].isdisjoint(sets[j])}
+        joined = {(i, j) if i < j else (j, i) for i, j in edges}
+        if meets != joined or len(joined) != len(edges):
+            disagree = meets ^ joined
+            i, j = min(disagree | {(i, j) for i, j in edges if i < j and (j, i) in edges})
+            raise InvalidGraph(f"vertices {i},{j}: intersection and edge disagree"
+                               if (i, j) in disagree else f"double edge between {i} and {j}")
         sources = [i for i in range(d) if indeg[i] == 0]
         if sources != [self.source]:
             raise InvalidGraph(f"in-degree-0 vertices {sources}, "

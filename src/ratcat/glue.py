@@ -3,14 +3,14 @@
 Every coprime skeleton determines an (n, m)-periodic lattice path: a
 point lies on the path exactly when its rank belongs to the skeleton.
 Gluing splices length-(n+m) windows of such paths into a growing Dyck
-path, one level of the gluing digraph at a time; removal of good
-intervals inverts it, and the removed windows color the path's steps.
+path, one level of the gluing digraph at a time; a stack pass popping each
+good interval as it closes inverts it, and the popped windows color its steps.
 
 Paths are plain step strings, and a point is known only by its rank,
 the rank of the digraph labels: a path starts at rank -m, 'h' adds n
 and 'v' subtracts m.  A balanced window moves the rest of the path by
-(-m, n) or back, which keeps its ranks, so gluing splices and ungluing
-peels one rank list along with the steps.  No floating point is used.
+(-m, n) or back, which keeps its ranks, so gluing splices one rank list
+along with the steps and ungluing pops it.  No floating point is used.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _point_ranks(path: DyckPath) -> list[int]:
 
 
 def _good_positions(ranks: list[int], width: int) -> list[int]:
-    """Starts of the good intervals of the path with the given point ranks.
+    """Starts of the good intervals of these point ranks, for good_intervals only.
 
     A window of width = n+m steps changes the rank by (n+m)(n - #v), so
     it is balanced exactly when its end point has the rank of its start.
@@ -216,46 +216,66 @@ class ColoredPath:
                                for i, c in enumerate(self.components)]}
 
 
+def _peel(path: DyckPath, ranks: list[int]):
+    """Yield (round, rank set, original step positions) of each window that
+    ungluing removes, in removal order; ranks are the path's point ranks.
+
+    The points not yet removed sit on a stack.  While the top n+m+1 start
+    and end at one rank they form a balanced window, with n+m distinct
+    ranks (each step adds n mod n+m, a unit).  It is good, and popped to
+    its end point, when the stack holds its start rank twice and its other
+    ranks once; its round is 1 + the highest round popped at its ranks.
+    This matches removing all good intervals round by round, because
+    1. good windows never overlap: if W starts at r and V at s, with
+       r < s < r+n+m, V holds point r+n+m, of rank ranks[r], before V;
+    2. so removing one leaves every other good one good and unchanged;
+    3. goodness depends only on a window's points and those before it,
+       so each pop removes a window good in the whole remaining path;
+    4. windows that meet are never good together, so every complete
+       removal order removes the same windows, takes any two that meet in
+       the same order, and gives each window the round 1 + the highest
+       round of the earlier-removed windows it meets.
+    """
+    width = path.params.n + path.params.m
+    held = [0] * (max(ranks) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
+    top = held.copy()  # the highest round removed so far, by rank
+    stack: list[int] = []
+    for z, r in enumerate(ranks):
+        stack.append(z)
+        held[r] += 1
+        while len(stack) > width and ranks[stack[-width - 1]] == r:
+            window = stack[-width - 1:-1]
+            window_ranks = [ranks[p] for p in window]
+            if sum(map(held.__getitem__, window_ranks)) != width + 1:
+                break
+            level = 1 + max(map(top.__getitem__, window_ranks))
+            for k in window_ranks:
+                held[k] -= 1
+                top[k] = level
+            del stack[-width - 1:-1]
+            yield level, frozenset(window_ranks), window
+    if len(stack) != 1:
+        raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
+
+
 def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     """Invert the gluing: recover the labeled digraph and the coloring.
 
-    Good intervals of the current path correspond to the sinks of the
-    remaining digraph; they are removed in rounds until a single
-    (n, m)-window is left, which labels the source.  Each removed window
-    is kept as its ranks and the original positions of its steps, its
-    color class.  Edges join intersecting labels and point from
-    later-removed to earlier-removed vertices.
-
-    The point ranks are peeled along with the steps: removing a balanced
-    window translates the tail by (m, -n), which changes a box rank
-    n*x + m*y + const by -n*m + m*n = 0.
+    Each window _peel removes is a vertex labeled by its ranks, and its
+    step positions are its color class; the last, alone in the top round,
+    is the source.  Vertices follow the rounds descending, each in path
+    order.  Edges join meeting labels, which lie in different rounds, and
+    point from the later round to the earlier, so u < v.
     """
     n, m = path.params.n, path.params.m
-    width = n + m
     steps = path.steps
     if not steps:
         raise ValueError("cannot unglue the empty path")
     point_ranks = _point_ranks(path)
-    ranks = list(point_ranks)
-    orig = list(range(len(steps)))
-    rounds: list[list[tuple[frozenset[int], list[int]]]] = []
-    while len(ranks) > 1:
-        goods = _good_positions(ranks, width)
-        if not goods:
-            raise InvariantViolation(f"no good interval left while peeling {steps!r}")
-        skels = [frozenset(ranks[r:r + width]) for r in goods]
-        if len(frozenset().union(*skels)) != sum(map(len, skels)):
-            raise InvariantViolation(f"good intervals of one round meet in {steps!r}")
-        rounds.append(list(zip(skels, [orig[r:r + width] for r in goods])))
-        for r in reversed(goods):
-            del orig[r:r + width]
-            del ranks[r:r + width]
-    if len(rounds[-1]) != 1:
+    windows = sorted(_peel(path, point_ranks), key=lambda w: (-w[0], w[2][0]))
+    if len(windows) > 1 and windows[1][0] == windows[0][0]:
         raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
-
-    # the source (removed last) first; a round's labels are disjoint, so u < v on each edge
-    windows = [w for rnd in reversed(rounds) for w in rnd]
-    skels = [skel for skel, _ in windows]
+    skels = [skel for _, skel, _ in windows]
     labels = [sorted(skel) for skel in skels]
     graph = LabeledDigraph(n, m, labels, {
         (u, v) for u in range(len(skels)) for v in range(u + 1, len(skels))
@@ -263,13 +283,10 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
 
     colors = [0] * len(steps)
     components = []
-    for v, (_, positions) in enumerate(windows):
+    for v, (_, _, positions) in enumerate(windows):
         word = "".join(map(steps.__getitem__, positions))
-        if len(word) != width or word.count("v") != n:
+        if len(word) != n + m or word.count("v") != n:
             raise InvariantViolation(f"color class {v} of {steps!r} is not balanced")
-        if sorted(map(point_ranks.__getitem__, positions)) != labels[v]:
-            raise InvariantViolation(f"color class {v} of {steps!r} does not carry "
-                                     "each skeleton rank exactly once")
         components.append(_component(n, m, word))
         for z in positions:
             colors[z] = v

@@ -436,3 +436,26 @@ def test_cached_fields_do_not_change_identity():
     assert graph._form == form and fresh._form is None
     assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
     assert "_levels" not in repr(graph) and "_form" not in repr(graph)
+
+
+BLUE, GREEN = (-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2)
+ORANGE, RED = (4, 6, 7, 8, 10), (4, 5, 6, 7, 8)
+ZERO = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
+
+
+@pytest.mark.parametrize("n, m, labels, edges, message", [
+    (3, 2, (BLUE, GREEN), (), "vertices 0,1: intersection and edge disagree"),
+    (3, 2, (BLUE, GREEN, RED), {(0, 1), (0, 2), (1, 2)},
+     "vertices 1,2: intersection and edge disagree"),
+    (1, 1, (ZERO, ZERO), {(0, 1), (1, 0)}, "double edge between 0 and 1"),
+    (1, 1, (ZERO, ZERO), {(0, 2)}, "bad edge (0, 2)"),
+    # (1,3) is extra and (2,3) missing: the first pair in (i, j) order is named
+    (3, 2, (BLUE, GREEN, ORANGE, RED), {(0, 1), (0, 2), (0, 3), (1, 3)},
+     "vertices 1,3: intersection and edge disagree"),
+    (1, 1, (ZERO,) * 3, {(0, 1), (1, 0), (0, 2)}, "double edge between 0 and 1"),
+    (1, 1, (ZERO,) * 3, {(0, 1), (0, 2), (1, 2), (2, 1)}, "double edge between 1 and 2"),
+])
+def test_graph_validation_messages(n, m, labels, edges, message):
+    with pytest.raises(InvalidGraph) as exc:
+        LabeledDigraph(n, m, labels=labels, edges=edges, source=0)
+    assert str(exc.value) == message

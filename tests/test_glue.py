@@ -504,8 +504,10 @@ def _seeded_paths(params, count, seed):
 
 
 def test_unglue_and_glue_all_match_references():
+    # (5,3,6) has the benchmark's widest window, (2,1,30) is long and thin
     sampled = [D for k, params in enumerate([GridParams(3, 2, 8), GridParams(3, 2, 16),
-                                             GridParams(1, 1, 40)])
+                                             GridParams(1, 1, 40), GridParams(5, 3, 6),
+                                             GridParams(2, 1, 30)])
                for D in _seeded_paths(params, 40, seed=k)]
     for D in [*_paths_up_to(14), *sampled]:
         graph, colored = unglue(D)
@@ -525,3 +527,36 @@ def test_component_is_the_unique_dyck_rotation():
         with pytest.raises(DomainError):
             glue._component(1, 2, "vvh")
     assert glue._component.cache_info().currsize == 0
+
+
+def test_peel_removes_only_good_windows():
+    # each window _peel pops is a good interval of the path left at that moment
+    for D in _paths_up_to(12):
+        n, m = D.params.n, D.params.m
+        left = list(range(len(D.steps)))  # original positions of the steps left
+        for _, skel, positions in glue._peel(D, glue._point_ranks(D)):
+            current = DyckPath(GridParams(n, m, len(left) // (n + m)),
+                               "".join(D.steps[z] for z in left))
+            r = left.index(positions[0])
+            assert r in good_intervals(current), (D.steps, positions)
+            assert positions == left[r:r + n + m], (D.steps, positions)
+            assert skel == window_skeleton(current, r), (D.steps, positions)
+            del left[r:r + n + m]
+        assert not left, D.steps
+
+
+def test_unglue_failure_paths(monkeypatch):
+    with pytest.raises(ValueError, match="cannot unglue the empty path"):
+        unglue(DyckPath(GridParams(3, 2, 0), ""))
+    D = glue_all(example_graph())
+    # strictly rising ranks: no window starts and ends at one rank
+    monkeypatch.setattr(glue, "_point_ranks",
+                        lambda path: list(range(-2, len(path.steps) - 1)))
+    with pytest.raises(InvariantViolation,
+                       match=f"^no good interval left while peeling {D.steps!r}$"):
+        unglue(D)
+    # the window [1, -1, 1] closes on top but shares rank -1 with the start
+    stair = DyckPath(GridParams(1, 1, 3), "hvhvhv")
+    monkeypatch.setattr(glue, "_point_ranks", lambda path: [-1, 0, 1, -1, 1, 0, -1])
+    with pytest.raises(InvariantViolation, match="^no good interval left while peeling 'hvhvhv'$"):
+        unglue(stair)
