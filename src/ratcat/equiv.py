@@ -106,6 +106,12 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
     return result
 
 
+def meeting_pairs(sets) -> set[tuple[int, int]]:
+    """The index pairs i < j of the sets that share a value."""
+    return {(i, j) for i, s in enumerate(sets) for j in range(i + 1, len(sets))
+            if not s.isdisjoint(sets[j])}
+
+
 @dataclass(frozen=True)
 class LabeledDigraph:
     """Gluing data: an acyclic digraph with coprime-skeleton labels.
@@ -154,9 +160,7 @@ class LabeledDigraph:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
             if i == self.source and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
-        sets = [set(lbl) for lbl in labels]
-        meets = {(i, j) for i in range(d) for j in range(i + 1, d)
-                 if not sets[i].isdisjoint(sets[j])}
+        meets = meeting_pairs([set(lbl) for lbl in labels])
         joined = {(i, j) if i < j else (j, i) for i, j in edges}
         if meets != joined or len(joined) != len(edges):
             disagree = meets ^ joined
@@ -214,15 +218,11 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
     mvec = minimal_shifting(shift_bounds(sk))
     f = tuple((i + mvec[i]) % d for i in range(d))
     labels = tuple(tuple((x + mvec[i]) // d for x in parts[i]) for i in range(d))
-    sets = [set(lbl) for lbl in labels]
     edges = set()
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not sets[i].isdisjoint(sets[j]):
-                if f[i] == f[j]:
-                    raise InvariantViolation(
-                        f"intersecting parts {i}, {j} on the same level")
-                edges.add((i, j) if f[i] < f[j] else (j, i))
+    for i, j in meeting_pairs([set(lbl) for lbl in labels]):
+        if f[i] == f[j]:
+            raise InvariantViolation(f"intersecting parts {i}, {j} on the same level")
+        edges.add((i, j) if f[i] < f[j] else (j, i))
     graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges), source=0)
     if graph.levels() != f:
         raise InvariantViolation(

@@ -3,8 +3,8 @@
 Every coprime skeleton determines an (n, m)-periodic lattice path: a
 point lies on the path exactly when its rank belongs to the skeleton.
 Gluing splices length-(n+m) windows of such paths into a growing Dyck
-path, one level of the gluing digraph at a time; a stack pass popping each
-good interval as it closes inverts it, and the popped windows color its steps.
+path, one level of the gluing digraph at a time.  One stack pass, _peel,
+inverts it and colors the steps; its first round is the good intervals.
 
 Paths are plain step strings, and a point is known only by its rank,
 the rank of the digraph labels: a path starts at rank -m, 'h' adds n
@@ -25,7 +25,7 @@ from .errors import (
     NoIntersection,
     NotBalanced,
 )
-from .equiv import LabeledDigraph
+from .equiv import LabeledDigraph, meeting_pairs
 from .invset import coprime_from_skeleton
 from .lattice import DyckPath, GridParams, step_ranks
 
@@ -33,23 +33,6 @@ from .lattice import DyckPath, GridParams, step_ranks
 def _point_ranks(path: DyckPath) -> list[int]:
     """Rank of every point of the path, from its start to its end."""
     return step_ranks(path.params, path) + [-path.params.m]
-
-
-def _good_positions(ranks: list[int], width: int) -> list[int]:
-    """Starts of the good intervals of these point ranks, for good_intervals only.
-
-    A window of width = n+m steps changes the rank by (n+m)(n - #v), so
-    it is balanced exactly when its end point has the rank of its start.
-    It is good when, in addition, its ranks miss every point rank before
-    its start; one left-to-right scan keeps those earlier ranks in a set.
-    """
-    out = []
-    before = set()
-    for r in range(len(ranks) - width):
-        if ranks[r] == ranks[r + width] and before.isdisjoint(ranks[r:r + width]):
-            out.append(r)
-        before.add(ranks[r])
-    return out
 
 
 def _window_width(path: DyckPath, r: int) -> int:
@@ -170,11 +153,10 @@ def good_intervals(path: DyckPath) -> list[int]:
     An interval of n+m steps is balanced when n of them are vertical; it
     is good when additionally the periodic extension of the window stays
     clear of every point of the path strictly before the window's start.
-    At least one good interval always exists, and the balanced interval
-    closest to the start is always good.
+    The first balanced interval is good, and the good ones are _peel's
+    round-1 windows, as its rounds are those of round-by-round removal.
     """
-    p = path.params
-    return _good_positions(_point_ranks(path), p.n + p.m)
+    return sorted(w[0] for level, _, w in _peel(path, _point_ranks(path)) if level == 1)
 
 
 def window_skeleton(path: DyckPath, r: int) -> frozenset[int]:
@@ -222,9 +204,11 @@ def _peel(path: DyckPath, ranks: list[int]):
 
     The points not yet removed sit on a stack.  While the top n+m+1 start
     and end at one rank they form a balanced window, with n+m distinct
-    ranks (each step adds n mod n+m, a unit).  It is good, and popped to
-    its end point, when the stack holds its start rank twice and its other
-    ranks once; its round is 1 + the highest round popped at its ranks.
+    ranks (each step adds n mod n+m, a unit).  Each balanced window that
+    closed earlier was popped, so this one is the first left and is good:
+    the stack holds its start rank twice and its other ranks once, or the
+    ranks are forged and it raises.  It is popped to its end point; its
+    round is 1 + the highest round popped at its ranks.
     This matches removing all good intervals round by round, because
     1. good windows never overlap: if W starts at r and V at s, with
        r < s < r+n+m, V holds point r+n+m, of rank ranks[r], before V;
@@ -247,7 +231,9 @@ def _peel(path: DyckPath, ranks: list[int]):
             window = stack[-width - 1:-1]
             window_ranks = [ranks[p] for p in window]
             if sum(map(held.__getitem__, window_ranks)) != width + 1:
-                break
+                shared = next(k for k in window_ranks if held[k] > 1 + (k == r))
+                raise InvariantViolation(f"balanced window at steps {window} of {path.steps!r}"
+                                         f" shares rank {shared} with a lower point")
             level = 1 + max(map(top.__getitem__, window_ranks))
             for k in window_ranks:
                 held[k] -= 1
@@ -276,10 +262,8 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     if len(windows) > 1 and windows[1][0] == windows[0][0]:
         raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
     skels = [skel for _, skel, _ in windows]
-    labels = [sorted(skel) for skel in skels]
-    graph = LabeledDigraph(n, m, labels, {
-        (u, v) for u in range(len(skels)) for v in range(u + 1, len(skels))
-        if not skels[u].isdisjoint(skels[v])}, source=0)
+    graph = LabeledDigraph(n, m, [sorted(skel) for skel in skels],
+                           meeting_pairs(skels), source=0)
 
     colors = [0] * len(steps)
     components = []

@@ -23,7 +23,7 @@ from .errors import (
     NotCoprimeCase,
     NotNormalized,
 )
-from .lattice import DyckPath, GridParams, box_rank
+from .lattice import DyckPath, GridParams, box_rank, step_ranks
 
 KIND_GENERATOR = "generator"
 KIND_COGENERATOR = "cogenerator"
@@ -228,25 +228,16 @@ def map_D_coprime(delta: InvariantSet) -> DyckPath:
 
 
 def invset_from_path_coprime(path: DyckPath) -> InvariantSet:
-    """Inverse of map_D_coprime: the ranks of sub-diagonal boxes outside the
-    diagram are exactly the non-negative integers missing from Delta."""
+    """Inverse of map_D_coprime, reading Delta's skeleton off the step ranks:
+    a 'v' step's rank r, its left box, is in Delta and r - n is not, so r is
+    a generator; an 'h' step's r, the box above, is not, but r + m is."""
     p = path.params
     if p.d != 1:
         raise NotCoprimeCase("the diagram map requires d = 1")
-    rows = path.row_lengths()
-    missing = set()
-    for y in range(p.N):
-        for x in range(rows[y], p.M):
-            r = box_rank(p, x, y)
-            if r >= 0:
-                missing.add(r)
-    gen = []
-    for c in range(p.N):
-        x = c
-        while x in missing:
-            x += p.N
-        gen.append(x)
-    return InvariantSet(p, tuple(gen))
+    try:
+        return invset_from_skeleton(p, step_ranks(p, path))
+    except InvalidSkeleton as exc:
+        raise InvariantViolation(f"ranks of {path.steps!r} are no skeleton: {exc}") from exc
 
 
 def map_G(delta: InvariantSet) -> DyckPath:

@@ -320,6 +320,23 @@ def _reference_good_intervals(path):
     return out
 
 
+def _reference_good_positions(ranks, width):
+    """Starts of the good intervals of these point ranks, in one scan.
+
+    A window of width = n+m steps changes the rank by (n+m)(n - #v), so
+    it is balanced exactly when its end point has the rank of its start.
+    It is good when, in addition, its ranks miss every point rank before
+    its start; one left-to-right scan keeps those earlier ranks in a set.
+    """
+    out = []
+    before = set()
+    for r in range(len(ranks) - width):
+        if ranks[r] == ranks[r + width] and before.isdisjoint(ranks[r:r + width]):
+            out.append(r)
+        before.add(ranks[r])
+    return out
+
+
 def test_point_box_ranks_match_per_point_formula():
     # the empty d = 0 path has no steps and the single point (m, 0)
     for D in [*_paths_up_to(14), DyckPath(GridParams(3, 2, 0), "")]:
@@ -327,8 +344,11 @@ def test_point_box_ranks_match_per_point_formula():
 
 
 def test_good_intervals_match_quadratic_definition():
-    for D in _paths_up_to(14):
-        assert good_intervals(D) == _reference_good_intervals(D), D.steps
+    for D in [*_paths_up_to(14), *_sampled_paths()]:
+        expected = _reference_good_intervals(D)
+        assert good_intervals(D) == expected, D.steps
+        n, m = D.params.n, D.params.m
+        assert _reference_good_positions(_reference_point_ranks(D), n + m) == expected, D.steps
 
 
 def test_ranks_unchanged_under_remove_interval():
@@ -459,8 +479,7 @@ def _reference_unglue(path):
     tags = [None] * len(path.steps)
     batches = []
     while len(ranks) > 1:
-        goods = good_intervals(DyckPath(GridParams(n, m, (len(ranks) - 1) // width),
-                                        "".join(path.steps[z] for z in orig)))
+        goods = _reference_good_positions(ranks, width)
         batches.append([frozenset(ranks[r:r + width]) for r in goods])
         for pos in range(len(goods) - 1, -1, -1):
             r = goods[pos]
@@ -503,13 +522,17 @@ def _seeded_paths(params, count, seed):
         yield DyckPath(params, "".join(word[cut:] + word[:cut]))
 
 
+def _sampled_paths():
+    """40 seeded paths of each of five grids: (5,3,6) has the benchmark's
+    widest window, (2,1,30) is long and thin."""
+    for k, params in enumerate([GridParams(3, 2, 8), GridParams(3, 2, 16),
+                                GridParams(1, 1, 40), GridParams(5, 3, 6),
+                                GridParams(2, 1, 30)]):
+        yield from _seeded_paths(params, 40, seed=k)
+
+
 def test_unglue_and_glue_all_match_references():
-    # (5,3,6) has the benchmark's widest window, (2,1,30) is long and thin
-    sampled = [D for k, params in enumerate([GridParams(3, 2, 8), GridParams(3, 2, 16),
-                                             GridParams(1, 1, 40), GridParams(5, 3, 6),
-                                             GridParams(2, 1, 30)])
-               for D in _seeded_paths(params, 40, seed=k)]
-    for D in [*_paths_up_to(14), *sampled]:
+    for D in [*_paths_up_to(14), *_sampled_paths()]:
         graph, colored = unglue(D)
         assert (graph, colored.colors, colored.components) == _reference_unglue(D), D.steps
         assert glue_all(graph).steps == _reference_glue_all(graph).steps == D.steps
@@ -538,7 +561,8 @@ def test_peel_removes_only_good_windows():
             current = DyckPath(GridParams(n, m, len(left) // (n + m)),
                                "".join(D.steps[z] for z in left))
             r = left.index(positions[0])
-            assert r in good_intervals(current), (D.steps, positions)
+            goods = _reference_good_positions(_reference_point_ranks(current), n + m)
+            assert r in goods, (D.steps, positions)
             assert positions == left[r:r + n + m], (D.steps, positions)
             assert skel == window_skeleton(current, r), (D.steps, positions)
             del left[r:r + n + m]
@@ -558,5 +582,6 @@ def test_unglue_failure_paths(monkeypatch):
     # the window [1, -1, 1] closes on top but shares rank -1 with the start
     stair = DyckPath(GridParams(1, 1, 3), "hvhvhv")
     monkeypatch.setattr(glue, "_point_ranks", lambda path: [-1, 0, 1, -1, 1, 0, -1])
-    with pytest.raises(InvariantViolation, match="^no good interval left while peeling 'hvhvhv'$"):
+    with pytest.raises(InvariantViolation, match=r"^balanced window at steps \[2, 3\] of "
+                       "'hvhvhv' shares rank -1 with a lower point$"):
         unglue(stair)

@@ -1,11 +1,18 @@
+from math import gcd
+
 import pytest
 
+import ratcat.invset
 from ratcat import (
+    DomainError,
     EmptyInput,
     GridParams,
+    InvalidSkeleton,
+    InvariantViolation,
     NotCoprimeCase,
     NotNormalized,
     area,
+    box_rank,
     cogenerators_m,
     core_partition,
     d_quotient,
@@ -128,6 +135,46 @@ def test_coprime_bijection_roundtrip():
                 delta = invset_from_path_coprime(D)
                 assert map_D_coprime(delta).steps == D.steps
                 assert gap(delta) == area(params, D)
+
+
+def _reference_invset_from_path(path):
+    """The box scan: the ranks of sub-diagonal boxes outside the diagram
+    are exactly the non-negative integers missing from Delta."""
+    p = path.params
+    rows = path.row_lengths()
+    missing = set()
+    for y in range(p.N):
+        for x in range(rows[y], p.M):
+            r = box_rank(p, x, y)
+            if r >= 0:
+                missing.add(r)
+    gen = []
+    for c in range(p.N):
+        x = c
+        while x in missing:
+            x += p.N
+        gen.append(x)
+    return InvariantSet(p, tuple(gen))
+
+
+def test_invset_from_path_matches_box_scan():
+    checked = 0
+    for n, m in [(n, m) for n in range(1, 16) for m in range(1, 17 - n) if gcd(n, m) == 1]:
+        for D in enumerate_paths(GridParams(n, m, 1)):
+            assert invset_from_path_coprime(D) == _reference_invset_from_path(D), D.steps
+            checked += 1
+    assert checked == 4505
+    with pytest.raises(NotCoprimeCase):
+        invset_from_path_coprime(map_G(delta1_64()))
+
+
+def test_invset_from_path_forged_ranks_are_a_bug(monkeypatch):
+    D = map_D_coprime(exzeta_delta())
+    monkeypatch.setattr(ratcat.invset, "step_ranks", lambda params, path: [0] * 8)
+    with pytest.raises(InvariantViolation, match="^ranks of 'hhvhvvvv' are no skeleton: ") as exc:
+        invset_from_path_coprime(D)
+    assert not isinstance(exc.value, DomainError)
+    assert isinstance(exc.value.__cause__, InvalidSkeleton)
 
 
 def test_map_G_golden():
