@@ -35,33 +35,32 @@ from .lattice import GridParams
 class ShiftBounds:
     """Pairwise shift bounds between skeleton parts; None encodes infinity.
 
-    btilde[i][j] is the least positive difference y - x over x in S_i,
-    y in S_j (the collision distance when part i slides up against part
-    j); b = btilde - 1 bounds the integral shifts: a_i - a_j <= b[i][j].
+    b[i][j] is one less than the least positive difference y - x over x in
+    S_i, y in S_j (the collision distance when part i slides up against
+    part j), and bounds the integral shifts: a_i - a_j <= b[i][j].
     """
 
     d: int
-    btilde: tuple[tuple[int | None, ...], ...]
     b: tuple[tuple[int | None, ...], ...]
 
 
 def shift_bounds(skel: Skeleton) -> ShiftBounds:
-    """Collision-distance matrix of the skeleton parts S_i = S mod d.
+    """Bound matrix of the skeleton parts S_i = S mod d.
 
     One sweep down the sorted skeleton keeps the next (least larger)
     value of every part; each value x of part i is compared with those.
     """
     d = skel.params.d
-    btilde = [[None] * d for _ in range(d)]
+    b = [[None] * d for _ in range(d)]
     nxt: list[int | None] = [None] * d
-    for x, _, i in reversed(skel.entries):
-        row = btilde[i]
+    for x in reversed(skel.values()):
+        i = x % d
+        row = b[i]
         for j, y in enumerate(nxt):
-            if y is not None and j != i and (row[j] is None or y - x < row[j]):
-                row[j] = y - x
+            if y is not None and j != i and (row[j] is None or y - x - 1 < row[j]):
+                row[j] = y - x - 1
         nxt[i] = x
-    b = tuple(tuple(None if v is None else v - 1 for v in row) for row in btilde)
-    return ShiftBounds(d, tuple(tuple(row) for row in btilde), b)
+    return ShiftBounds(d, tuple(map(tuple, b)))
 
 
 def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
@@ -118,8 +117,8 @@ class LabeledDigraph:
 
     Vertices carry skeletons of (n, m)-invariant subsets; two labels
     intersect as value sets exactly when the vertices are joined by an
-    edge, the unique in-degree-0 vertex is the source, its label is
-    0-normalized, and every label is non-negatively normalized.
+    edge, exactly one vertex, the source, has in-degree 0 and a 0-normalized
+    label, and every label is non-negatively normalized.
 
     Validation builds successor lists and in-degrees in one pass over the
     edges; Kahn's algorithm from the source then both rejects cycles and
@@ -131,7 +130,7 @@ class LabeledDigraph:
     m: int
     labels: tuple[tuple[int, ...], ...]
     edges: frozenset[tuple[int, int]]
-    source: int = 0
+    source: int = field(init=False)
     _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _form: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -150,6 +149,7 @@ class LabeledDigraph:
                 raise InvalidGraph(f"bad edge ({i}, {j})")
             succ[i].append(j)
             indeg[j] += 1
+        sources = [i for i in range(d) if indeg[i] == 0]
         for i, lbl in enumerate(labels):
             try:
                 rec = coprime_from_skeleton(self.n, self.m, lbl)
@@ -158,7 +158,7 @@ class LabeledDigraph:
             low = rec.min_element()
             if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
-            if i == self.source and low != 0:
+            if [i] == sources and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
         meets = meeting_pairs([set(lbl) for lbl in labels])
         joined = {(i, j) if i < j else (j, i) for i, j in edges}
@@ -167,10 +167,9 @@ class LabeledDigraph:
             i, j = min(disagree | {(i, j) for i, j in edges if i < j and (j, i) in edges})
             raise InvalidGraph(f"vertices {i},{j}: intersection and edge disagree"
                                if (i, j) in disagree else f"double edge between {i} and {j}")
-        sources = [i for i in range(d) if indeg[i] == 0]
-        if sources != [self.source]:
-            raise InvalidGraph(f"in-degree-0 vertices {sources}, "
-                               f"expected exactly the source {self.source}")
+        if len(sources) != 1:
+            raise InvalidGraph(f"in-degree-0 vertices {sources}, expected exactly one")
+        object.__setattr__(self, "source", sources[0])
         # Kahn: a vertex leaves the queue after all its predecessors, so
         # its level is final then; a vertex on a cycle never enters it.
         level = [0] * d
@@ -223,7 +222,10 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
         if f[i] == f[j]:
             raise InvariantViolation(f"intersecting parts {i}, {j} on the same level")
         edges.add((i, j) if f[i] < f[j] else (j, i))
-    graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges), source=0)
+    try:
+        graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges))
+    except InvalidGraph as exc:
+        raise InvariantViolation(f"gluing data of {delta.gen} is invalid: {exc}") from exc
     if graph.levels() != f:
         raise InvariantViolation(
             f"levels {graph.levels()} do not match the shift residues {f}")

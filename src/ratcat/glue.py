@@ -1,7 +1,9 @@
 """Gluing periodic paths into Dyck paths and taking them apart again.
 
 Every coprime skeleton determines an (n, m)-periodic lattice path: a
-point lies on the path exactly when its rank belongs to the skeleton.
+point lies on the path exactly when its rank belongs to the skeleton,
+and its step is 'h' exactly when rank + n does too (a skeleton value x
+is a generator iff x + n is not in the skeleton, and generators step up).
 Gluing splices length-(n+m) windows of such paths into a growing Dyck
 path, one level of the gluing digraph at a time.  One stack pass, _peel,
 inverts it and colors the steps; its first round is the good intervals.
@@ -58,34 +60,38 @@ class PeriodicPath:
     skel holds the n+m step ranks of any fundamental window; a point lies
     on the path iff its rank belongs to skel, and the outgoing step at
     that point is vertical exactly when the rank is a generator of the
-    underlying subset.
+    underlying subset, that is, when rank + n is not in skel.
     """
 
     n: int
     m: int
     skel: frozenset[int]
-    gens: tuple[int, ...]  # generator per class mod n of the underlying subset
 
-    def window(self, r: int) -> str:
-        """The fundamental window that starts at the point of rank r."""
-        n, m, skel, gens = self.n, self.m, self.skel, self.gens
-        steps = []
+    def _walk(self, r: int) -> tuple[str, list[int]]:
+        """Steps and step ranks of the window from rank r: 'h' iff r + n is on the path."""
+        n, m, skel = self.n, self.m, self.skel
+        start, steps, ranks = r, [], []
         for _ in range(n + m):
             if r not in skel:
                 raise NoIntersection(f"no point of rank {r} is on the path")
-            if gens[r % n] == r:
-                steps.append("v")
-                r -= m
-            else:
-                steps.append("h")
-                r += n
-        return "".join(steps)
+            ranks.append(r)
+            up = r + n not in skel
+            steps.append("v" if up else "h")
+            r += -m if up else n
+        if r != start:
+            raise InvariantViolation(f"window {''.join(steps)!r} does not return to rank {start}")
+        return "".join(steps), ranks
+
+    def window(self, r: int) -> str:
+        """The fundamental window that starts at the point of rank r."""
+        return self._walk(r)[0]
 
 
 def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     """Periodic path of the skeleton given by an iterable of n+m ranks."""
     label = tuple(sorted(values))
-    return PeriodicPath(n, m, frozenset(label), coprime_from_skeleton(n, m, label).gen)
+    coprime_from_skeleton(n, m, label)  # rejects a value set that is no skeleton
+    return PeriodicPath(n, m, frozenset(label))
 
 
 def _splice(steps: str, ranks: list[int], periodic: PeriodicPath) -> str:
@@ -101,13 +107,7 @@ def _splice(steps: str, ranks: list[int], periodic: PeriodicPath) -> str:
             break
     else:
         raise NoIntersection("the periodic path misses the current path")
-    window = periodic.window(r)
-    window_ranks = []
-    for s in window:
-        window_ranks.append(r)
-        r += periodic.n if s == "h" else -periodic.m
-    if r != ranks[cut]:
-        raise InvariantViolation(f"window {window!r} does not return to rank {ranks[cut]}")
+    window, window_ranks = periodic._walk(r)
     ranks[cut:cut] = window_ranks
     return steps[:cut] + window + steps[cut:]
 
@@ -129,7 +129,8 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
 
     Within a level the order of gluing does not matter; one stable sort
     on the level puts the source, the one vertex of level 0, first, and
-    its window starts at the point of rank -m, the start of every path.
+    its window starts at the point of rank -m, the start of every path,
+    which the source label holds, as the graph checked it is 0-normalized.
 
     The ranks are spliced along with the steps, and only the final path
     is validated.  That covers every intermediate path: each window walks
@@ -138,12 +139,9 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     all >= -m when that one is Dyck.
     """
     n, m = graph.n, graph.m
-    order = sorted(range(graph.d), key=graph.levels().__getitem__)
-    if -m not in graph.labels[order[0]]:
-        raise InvalidGraph("source label is not 0-normalized")
     steps, ranks = "", [-m]  # the empty path: one point, of rank -m
-    for v in order:
-        steps = _splice(steps, ranks, periodic_from_skeleton(n, m, graph.labels[v]))
+    for v in sorted(range(graph.d), key=graph.levels().__getitem__):
+        steps = _splice(steps, ranks, PeriodicPath(n, m, frozenset(graph.labels[v])))
     return _glued(GridParams(n, m, graph.d), steps)
 
 
@@ -262,8 +260,10 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     if len(windows) > 1 and windows[1][0] == windows[0][0]:
         raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
     skels = [skel for _, skel, _ in windows]
-    graph = LabeledDigraph(n, m, [sorted(skel) for skel in skels],
-                           meeting_pairs(skels), source=0)
+    try:
+        graph = LabeledDigraph(n, m, skels, meeting_pairs(skels))
+    except InvalidGraph as exc:
+        raise InvariantViolation(f"ungluing {steps!r} gave an invalid graph: {exc}") from exc
 
     colors = [0] * len(steps)
     components = []

@@ -6,14 +6,17 @@ congruent to c mod N, so membership is x in Delta iff x >= gen[x mod N],
 and the infinite set is never materialized.  The skeleton of Delta is
 the set of its N-generators together with its M-cogenerators; within
 each class mod N the largest skeleton value is the generator, which is
-what makes a subset reconstructible from its skeleton.
+what makes a subset reconstructible from its skeleton.  The values also
+give the kinds: x is a generator iff x + N is not in the skeleton.  For a
+generator x, x + N is in Delta along with x, so it is neither kind; for a
+cogenerator y, y + N is a cogenerator if it is outside Delta (y + N + M is
+in it), and the generator of its class if inside (y is not).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 from .errors import (
     EmptyInput,
@@ -24,9 +27,6 @@ from .errors import (
     NotNormalized,
 )
 from .lattice import DyckPath, GridParams, box_rank, step_ranks
-
-KIND_GENERATOR = "generator"
-KIND_COGENERATOR = "cogenerator"
 
 
 @dataclass(frozen=True)
@@ -72,36 +72,33 @@ class InvariantSet:
         return {"n": p.n, "m": p.m, "d": p.d, "generators": sorted(self.gen)}
 
 
-class SkeletonEntry(NamedTuple):
-    value: int
-    kind: str
-    residue: int
-
-
 @dataclass(frozen=True)
 class Skeleton:
-    """The N-generators and M-cogenerators of an invariant subset, sorted by value."""
+    """The N-generators and M-cogenerators of an invariant subset, sorted;
+    each value's kind (by the rule above) and part (residue mod d) follow."""
 
     params: GridParams
-    entries: tuple[SkeletonEntry, ...]
+    sorted_values: tuple[int, ...]
 
     def values(self) -> tuple[int, ...]:
-        return tuple(e.value for e in self.entries)
+        return self.sorted_values
 
     def step_pattern(self) -> str:
         """'v' per generator, 'h' per cogenerator, in increasing value order."""
-        return "".join("v" if e.kind == KIND_GENERATOR else "h" for e in self.entries)
+        N, members = self.params.N, set(self.sorted_values)
+        return "".join("h" if x + N in members else "v" for x in self.sorted_values)
 
     def parts_mod_d(self) -> list[list[int]]:
         """Skeleton values split by residue mod d, each part sorted."""
         parts = [[] for _ in range(self.params.d)]
-        for e in self.entries:
-            parts[e.residue].append(e.value)
+        for x in self.sorted_values:
+            parts[x % self.params.d].append(x)
         return parts
 
     def to_jsonable(self) -> list[dict]:
-        return [{"value": e.value, "kind": e.kind, "residue": e.residue}
-                for e in self.entries]
+        kinds = {"v": "generator", "h": "cogenerator"}
+        return [{"value": x, "kind": kinds[s], "residue": x % self.params.d}
+                for x, s in zip(self.sorted_values, self.step_pattern())]
 
 
 def invset_from_generators(params: GridParams, gens) -> InvariantSet:
@@ -161,13 +158,8 @@ def cogenerators_m(delta: InvariantSet) -> list[int]:
 
 
 def skeleton(delta: InvariantSet) -> Skeleton:
-    """Merged, sorted generators and cogenerators with kind and residue tags."""
-    d = delta.params.d
-    entries = [SkeletonEntry(v, KIND_GENERATOR, v % d) for v in delta.gen]
-    entries += [SkeletonEntry(v, KIND_COGENERATOR, v % d)
-                for v in cogenerators_m(delta)]
-    entries.sort()  # by value: skeleton values are distinct
-    return Skeleton(delta.params, tuple(entries))
+    """The generators and cogenerators, merged and sorted."""
+    return Skeleton(delta.params, tuple(sorted([*delta.gen, *cogenerators_m(delta)])))
 
 
 def invset_from_skeleton(params: GridParams, values) -> InvariantSet:

@@ -23,7 +23,7 @@ from math import comb, gcd
 
 from .errors import AboveDiagonal, InvariantViolation, LimitExceeded, MalformedPath
 
-DEFAULT_ENUM_LIMIT = 24
+ENUM_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -191,14 +191,14 @@ def area(params: GridParams, path: DyckPath) -> int:
     return path._area
 
 
-def enumerate_paths(params: GridParams, limit: int = DEFAULT_ENUM_LIMIT) -> tuple[DyckPath, ...]:
+def enumerate_paths(params: GridParams) -> tuple[DyckPath, ...]:
     """All Dyck paths of the rectangle in lexicographic order ('h' < 'v').
 
     The result is cached per parameter set; treat it as immutable.
     """
-    if params.N + params.M > limit:
+    if params.N + params.M > ENUM_LIMIT:
         raise LimitExceeded(
-            f"N+M = {params.N + params.M} exceeds the limit {limit}")
+            f"N+M = {params.N + params.M} exceeds the limit {ENUM_LIMIT}")
     return _enumerate_cached(params)
 
 

@@ -151,7 +151,7 @@ def suite_worked_12_8():
         3, 2,
         labels=((-2, 0, 1, 2, 4), (4, 6, 7, 8, 10),
                 (-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)),
-        edges={(0, 1), (0, 2), (0, 3), (1, 3)}, source=0)
+        edges={(0, 1), (0, 2), (0, 3), (1, 3)})
     rep_left = minimal_representative(left)
     expected_parts = [[-8, 0, 4, 8, 16], [17, 25, 29, 33, 41],
                       [-6, -2, 2, 6, 10], [19, 23, 27, 31, 35]]

@@ -3,11 +3,20 @@
 Each test runs the corresponding named verification suite (the same code
 the CLI `verify` subcommand uses) and prints one PASS/FAIL line per
 individual check; run with `pytest -v` to get one line per criterion.
+Each suite's lines must also equal its recorded output in verify_output/,
+so any change to what a suite prints shows up here.
 """
 
 import time
+from pathlib import Path
 
 from ratcat import verify
+
+RECORDED = Path(__file__).parent / "verify_output"
+
+
+def _recorded(name):
+    return (RECORDED / f"{name}.txt").read_text().splitlines()
 
 
 def _run(criterion, name, max_size=None):
@@ -21,6 +30,7 @@ def _run(criterion, name, max_size=None):
         if line.startswith("FAIL"):
             print("   ", line)
     assert ok, f"criterion {criterion} failed; see suite {name!r}"
+    assert lines == _recorded(name), f"suite {name!r} printed other lines"
 
 
 def test_criterion_01_golden_sweep_examples():
@@ -72,3 +82,4 @@ def test_conjecture_probe_reported_not_asserted():
     for line in lines:
         print(line)
     assert ok  # the probe only reports; it never fails
+    assert lines == _recorded("conjecture-probe")

@@ -70,6 +70,25 @@ def test_invset_info_json(capsys):
     assert [e["value"] for e in payload["skeleton"]] == [-3, 0, 2, 3, 4, 6, 7, 9]
 
 
+G, C = "generator", "cogenerator"
+
+
+@pytest.mark.parametrize("argv, entries", [
+    (("--n", "5", "--m", "3", "--generators", "0,7"),
+     [(-3, C, 0), (0, G, 0), (2, C, 0), (3, G, 0), (4, C, 0), (6, G, 0), (7, G, 0),
+      (9, G, 0)]),
+    (("--n", "3", "--m", "2", "--d", "2", "--generators", "0,5,7"),
+     [(-4, C, 0), (0, G, 0), (1, C, 1), (2, C, 0), (3, C, 1), (4, G, 0), (5, G, 1),
+      (7, G, 1), (8, G, 0), (9, G, 1)]),
+])
+def test_invset_info_skeleton_entries(capsys, argv, entries):
+    # every entry in full: value, kind and residue mod d
+    code, out, _ = run(capsys, "invset", "info", *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["skeleton"] == [
+        {"value": v, "kind": k, "residue": r} for v, k, r in entries]
+
+
 def test_classify_json(capsys):
     code, out, _ = run(capsys, "classify", "--n", "3", "--m", "2", "--d", "4",
                        "--path", "hvhvvhhhvhvvhhvvvvvv", "--format", "json")

@@ -7,6 +7,7 @@ from ratcat import (
     GridParams,
     Infeasible,
     InvalidGraph,
+    InvariantViolation,
     LabeledDigraph,
     ShiftBounds,
     build_graph,
@@ -43,7 +44,7 @@ def left_graph():
         3, 2,
         labels=((-2, 0, 1, 2, 4), (4, 6, 7, 8, 10),
                 (-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)),
-        edges={(0, 1), (0, 2), (0, 3), (1, 3)}, source=0)
+        edges={(0, 1), (0, 2), (0, 3), (1, 3)})
 
 
 def right_graph():
@@ -51,7 +52,7 @@ def right_graph():
         3, 2,
         labels=((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
                 (4, 6, 7, 8, 10), (4, 5, 6, 7, 8)),
-        edges={(0, 1), (0, 2), (0, 3), (2, 3)}, source=0)
+        edges={(0, 1), (0, 2), (0, 3), (2, 3)})
 
 
 def test_skeleton_parts_golden():
@@ -64,7 +65,7 @@ def test_shift_bounds_golden():
     bounds = shift_bounds(skeleton(worked_delta()))
     assert bounds.b == ((None, 0, 5, 2), (2, None, 12, 9),
                         (None, None, None, 0), (None, None, 2, None))
-    assert bounds.btilde[0][1] == 1
+    assert bounds.b[0][1] == oracle_btilde(skeleton(worked_delta()))[0][1] - 1 == 0
     single = shift_bounds(skeleton(semigroup(GridParams(5, 3, 1))))
     assert single.b == ((None,),)
 
@@ -108,7 +109,7 @@ def test_acceptability_matches_inequalities():
         for shift in itertools.product(window, repeat=d - 1):
             full = (0, *shift)
             ineq_ok = all(
-                bounds.btilde[i][j] is None or full[i] - full[j] < bounds.btilde[i][j]
+                bounds.b[i][j] is None or full[i] - full[j] <= bounds.b[i][j]
                 for i in range(d) for j in range(d) if i != j)
             assert ineq_ok == brute_force_acceptable(parts, shift)
             if ineq_ok:
@@ -179,8 +180,7 @@ def relabeled(graph, perm):
     for v, lbl in enumerate(graph.labels):
         labels[perm[v]] = lbl
     return LabeledDigraph(graph.n, graph.m, tuple(labels),
-                          frozenset((perm[i], perm[j]) for (i, j) in graph.edges),
-                          source=perm[graph.source])
+                          frozenset((perm[i], perm[j]) for (i, j) in graph.edges))
 
 
 def test_canonical_form_matches_permutation_search():
@@ -198,7 +198,9 @@ def test_canonical_form_matches_permutation_search():
         if graph.d > 1 and rng.random() < 0.25:
             perm = list(range(graph.d))
             rng.shuffle(perm)
-            assert canonical_form(relabeled(graph, perm)) == form
+            other = relabeled(graph, perm)
+            assert other.source == perm[graph.source]
+            assert canonical_form(other) == form
             relabelings += 1
     for classes in by_grid.values():
         assert all(len(olds) == 1 for olds in classes.values())
@@ -267,13 +269,13 @@ def test_min_gap_in_class():
 def test_graph_validation():
     with pytest.raises(InvalidGraph):
         LabeledDigraph(3, 2, labels=((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2)),
-                       edges=frozenset(), source=0)  # missing edge
+                       edges=frozenset())  # missing edge
     with pytest.raises(InvalidGraph):
-        LabeledDigraph(3, 2, labels=((0, 1, 2, 3, 4),), edges=frozenset(),
-                       source=0)  # not a skeleton
+        LabeledDigraph(3, 2, labels=((0, 1, 2, 3, 4),),
+                       edges=frozenset())  # not a skeleton
     with pytest.raises(InvalidGraph):
-        LabeledDigraph(3, 2, labels=((-2, 2, 4, 5, 8),), edges=frozenset(),
-                       source=0)  # not 0-normalized at the source
+        LabeledDigraph(3, 2, labels=((-2, 2, 4, 5, 8),),
+                       edges=frozenset())  # not 0-normalized at the source
 
 
 def test_census_matches_canonical_classes():
@@ -293,6 +295,15 @@ def test_census_matches_canonical_classes():
         assert len(glued) == len(forms)
 
 
+def test_invalid_graph_from_build_graph_is_an_invariant_violation(monkeypatch):
+    import ratcat.equiv as equiv
+    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: set())  # no edges
+    with pytest.raises(InvariantViolation, match=r"^gluing data of \(0, 1, .* is invalid: "
+                       r"in-degree-0 vertices \[0, 1, 2, 3\], expected exactly one$") as exc:
+        build_graph(worked_delta())
+    assert isinstance(exc.value.__cause__, InvalidGraph)
+
+
 def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     import ratcat.equiv as equiv
     import ratcat.invset as invset
@@ -306,10 +317,10 @@ def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     monkeypatch.setattr(invset, "invset_from_skeleton", broken)
     monkeypatch.setattr(equiv, "invset_from_skeleton", broken)
     with pytest.raises(ZeroDivisionError):
-        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges, graph.source)
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges)
     # errors are not cached: the same labels raise again
     with pytest.raises(ZeroDivisionError):
-        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges, graph.source)
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges)
     with pytest.raises(ZeroDivisionError):
         minimal_representative(graph)
 
@@ -383,10 +394,23 @@ def oracle_minimal_shifting(bounds):
     return tuple(v)
 
 
+def check_kinds_by_rule(delta):
+    """A skeleton value x is a generator, x == gen[x mod N], iff x + N is
+    not a skeleton value; step_pattern reads the kinds off that rule."""
+    sk = skeleton(delta)
+    N, values = delta.params.N, set(sk.values())
+    kinds = "".join("v" if x == delta.gen[x % N] else "h" for x in sk.values())
+    assert "".join("h" if x + N in values else "v" for x in sk.values()) == kinds
+    assert sk.step_pattern() == kinds
+
+
 def check_against_oracles(delta):
+    check_kinds_by_rule(delta)
+    check_kinds_by_rule(delta.shifted(3))
     sk = skeleton(delta)
     bounds = shift_bounds(sk)
-    assert bounds.btilde == oracle_btilde(sk)
+    assert bounds.b == tuple(tuple(None if x is None else x - 1 for x in row)
+                             for row in oracle_btilde(sk))
     assert minimal_shifting(bounds) == oracle_minimal_shifting(bounds)
     graph = build_graph(delta)
     assert graph.levels() == oracle_levels(graph)
@@ -411,8 +435,7 @@ def test_levels_and_bounds_match_oracles():
 def test_positive_cycle_is_infeasible():
     # a1 - a2 <= -1 and a2 - a1 <= -1 cannot both hold; 0 reaches the cycle
     b = ((None, 0, None), (None, None, -1), (None, -1, None))
-    btilde = tuple(tuple(None if x is None else x + 1 for x in row) for row in b)
-    bounds = ShiftBounds(3, btilde, b)
+    bounds = ShiftBounds(3, b)
     with pytest.raises(Infeasible, match="failed to stabilize"):
         minimal_shifting(bounds)
     with pytest.raises(Infeasible):
@@ -422,10 +445,10 @@ def test_positive_cycle_is_infeasible():
 def test_cycle_and_double_edge_rejected():
     zero = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
     with pytest.raises(InvalidGraph, match="cycle"):
-        LabeledDigraph(1, 1, labels=(zero,) * 4, source=0,
+        LabeledDigraph(1, 1, labels=(zero,) * 4,
                        edges={(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)})
     with pytest.raises(InvalidGraph, match="double edge"):
-        LabeledDigraph(1, 1, labels=(zero, zero), edges={(0, 1), (1, 0)}, source=0)
+        LabeledDigraph(1, 1, labels=(zero, zero), edges={(0, 1), (1, 0)})
 
 
 def test_cached_fields_do_not_change_identity():
@@ -454,8 +477,9 @@ ZERO = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
      "vertices 1,3: intersection and edge disagree"),
     (1, 1, (ZERO,) * 3, {(0, 1), (1, 0), (0, 2)}, "double edge between 0 and 1"),
     (1, 1, (ZERO,) * 3, {(0, 1), (0, 2), (1, 2), (2, 1)}, "double edge between 1 and 2"),
+    (3, 2, (GREEN, RED), (), "in-degree-0 vertices [0, 1], expected exactly one"),
 ])
 def test_graph_validation_messages(n, m, labels, edges, message):
     with pytest.raises(InvalidGraph) as exc:
-        LabeledDigraph(n, m, labels=labels, edges=edges, source=0)
+        LabeledDigraph(n, m, labels=labels, edges=edges)
     assert str(exc.value) == message

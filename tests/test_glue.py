@@ -13,6 +13,7 @@ from ratcat import (
     DomainError,
     DyckPath,
     GridParams,
+    InvalidGraph,
     InvalidSkeleton,
     InvariantViolation,
     LabeledDigraph,
@@ -47,7 +48,7 @@ P32 = GridParams(3, 2, 1)
 
 def example_graph():
     return LabeledDigraph(3, 2, labels=(BLUE, ORANGE, GREEN, RED),
-                          edges={(0, 1), (0, 2), (0, 3), (1, 3)}, source=0)
+                          edges={(0, 1), (0, 2), (0, 3), (1, 3)})
 
 
 def test_periodic_from_skeleton_golden():
@@ -62,6 +63,48 @@ def test_periodic_from_skeleton_golden():
     assert (stair.window(-1), stair.window(0)) == ("hv", "vh")
     with pytest.raises(InvalidSkeleton):
         periodic_from_skeleton(3, 2, (0, 2, 4, 6, 8))
+
+
+def _reference_window(n, m, label, r):
+    """The window walk by the generator vector of the label's subset:
+    'v' exactly at a rank that is the generator of its class mod n."""
+    gens = invset_from_skeleton(GridParams(n, m, 1), label).gen
+    steps = []
+    for _ in range(n + m):
+        assert r in label, (label, r)
+        if gens[r % n] == r:
+            steps.append("v")
+            r -= m
+        else:
+            steps.append("h")
+            r += n
+    return "".join(steps)
+
+
+def test_window_matches_generator_walk():
+    # every coprime skeleton with n+m <= 12 (its translates by 0 and 3),
+    # from every start rank in it; the walk's ranks follow its steps
+    walks = 0
+    for params in all_grid_params(12):
+        if params.d != 1:
+            continue
+        n, m = params.n, params.m
+        for D in enumerate_paths(params):
+            for shift in (0, 3):
+                label = tuple(r + shift for r in step_ranks(params, D))
+                periodic = periodic_from_skeleton(n, m, label)
+                for r in label:
+                    window = _reference_window(n, m, label, r)
+                    ranks = [r]
+                    for s in window[:-1]:
+                        ranks.append(ranks[-1] + (n if s == "h" else -m))
+                    assert periodic._walk(r) == (window, ranks), (label, r)
+                    assert periodic.window(r) == window
+                    walks += 1
+    assert walks == 9136
+    # a value set that is no skeleton, built by hand, can walk off its period
+    with pytest.raises(InvariantViolation, match="^window 'hhv' does not return to rank 0$"):
+        glue.PeriodicPath(2, 1, frozenset({0, 2, 4})).window(0)
 
 
 def test_paths_intersect_golden():
@@ -151,7 +194,7 @@ def test_glue_order_within_level_is_irrelevant():
 
 def _single_vertex(graph):
     return LabeledDigraph(graph.n, graph.m,
-                          (graph.labels[graph.source],), frozenset(), source=0)
+                          (graph.labels[graph.source],), frozenset())
 
 
 def test_good_intervals_golden():
@@ -377,7 +420,7 @@ def test_invariant_violation_survives_optimize():
         import ratcat.glue as glue
         from ratcat import GridParams, InvariantViolation, glue_all, parse_path, unglue
         graph = unglue(parse_path("hvhv", GridParams(1, 1, 2)))[0]
-        glue.PeriodicPath.window = lambda self, r: "vh"  # above the diagonal
+        glue.PeriodicPath._walk = lambda self, r: ("vh", [r, r - 1])  # above the diagonal
         try:
             glue_all(graph)
         except InvariantViolation as exc:
@@ -496,7 +539,7 @@ def _reference_unglue(path):
     edges = {(u, v) for u in range(len(skels)) for v in range(len(skels))
              if batch_of[u] > batch_of[v] and skels[u] & skels[v]}
     graph = LabeledDigraph(n, m, tuple(tuple(sorted(s)) for s in skels),
-                           frozenset(edges), source=0)
+                           frozenset(edges))
     colors = tuple(vertex_of[tag] for tag in tags)
     components = []
     for v in range(len(skels)):
@@ -585,3 +628,12 @@ def test_unglue_failure_paths(monkeypatch):
     with pytest.raises(InvariantViolation, match=r"^balanced window at steps \[2, 3\] of "
                        "'hvhvhv' shares rank -1 with a lower point$"):
         unglue(stair)
+
+
+def test_invalid_graph_from_unglue_is_an_invariant_violation(monkeypatch):
+    D = glue_all(example_graph())
+    monkeypatch.setattr(glue, "meeting_pairs", lambda sets: set())  # no edges
+    with pytest.raises(InvariantViolation, match=f"^ungluing {D.steps!r} gave an invalid graph: "
+                       "vertices 0,1: intersection and edge disagree$") as exc:
+        unglue(D)
+    assert isinstance(exc.value.__cause__, InvalidGraph)
