@@ -267,8 +267,11 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     The vertex order must make the level function weakly monotone, so
     vertices are stably sorted by level: the given order is kept within
     a level, and kept whole when it already is monotone.  The result is
-    0-normalized and its gluing data has the same canonical form as the
-    input.
+    0-normalized, and its minimal shifting must be m_i = level(order[i]) - i.
+    That makes its gluing data the input's: as 0 <= level < d, both
+    (d*label + i + m_i) // d = label and (i + m_i) mod d = level, so
+    build_graph would rebuild every label and level, and so the edges,
+    the label meets oriented up the levels.
     """
     d = graph.d
     order = sorted(range(d), key=graph.levels().__getitem__)
@@ -282,9 +285,12 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         raise InvalidGraph(f"labels do not assemble to a subset: {exc}") from exc
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
-    if canonical_form(build_graph(delta)) != canonical_form(graph):
+    predicted = tuple(graph.levels()[v] - i for i, v in enumerate(order))
+    shifting = minimal_shifting(shift_bounds(Skeleton(params, tuple(sorted(values)))))
+    if shifting != predicted:
         raise InvariantViolation(
-            "the minimal representative's gluing data is not isomorphic to the input")
+            f"minimal shifting {shifting} of the representative of {graph.labels} "
+            f"is not {predicted}, the one its levels predict")
     return delta
 
 

@@ -120,6 +120,10 @@ def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
     window, which amounts to translating it by (-m, n).
     """
     p = dhat.params
+    if (periodic.n, periodic.m) != (p.n, p.m):
+        raise DomainError(f"cannot glue a ({periodic.n},{periodic.m})-periodic path "
+                          f"into a path of the ({p.n},{p.m}) grid")
+    coprime_from_skeleton(p.n, p.m, tuple(sorted(periodic.skel)))  # rejects a non-skeleton
     return _glued(GridParams(p.n, p.m, p.d + 1),
                   _splice(dhat.steps, step_ranks(p, dhat), periodic))
 

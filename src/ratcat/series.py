@@ -214,7 +214,7 @@ def springer_poincare(n: int, m: int) -> QTPoly:
         by_dinv.add_term(0, 2 * (params.delta - dinv_sweep(params, path)))
         by_boxes.add_term(0, 2 * path.box_count())
     if by_dinv != by_boxes:
-        raise FormulaMismatch("the two Poincare formulas disagree")
+        raise FormulaMismatch(f"the two Poincare formulas disagree at ({n},{m})")
     return by_dinv
 
 

@@ -308,6 +308,25 @@ def test_failing_check_names_its_path(monkeypatch):
         for p in verify.all_grid_params(6)]
 
 
+def test_poincare_mismatch_names_its_grid(monkeypatch):
+    from ratcat import FormulaMismatch, verify
+
+    real = verify.springer_poincare
+
+    def broken(n, m):  # the message springer_poincare gives on a mismatch
+        if (n, m) == (2, 3):
+            raise FormulaMismatch("the two Poincare formulas disagree at (2,3)")
+        return real(n, m)
+
+    monkeypatch.setattr(verify, "springer_poincare", broken)
+    ok, lines = verify.run_suite("coprime-structure", 6)
+    assert not ok
+    assert lines[-1] == ("FAIL Poincare formulas agree for all n+m <= 6: "
+                         "the two Poincare formulas disagree at (2,3)")
+    assert all(line.startswith("PASS qt-Catalan") for line in lines[:-1])
+    assert "PASS qt-Catalan (2,3) q<->t symmetric" in lines
+
+
 def test_round_trip_checks_fail_independently(monkeypatch):
     from ratcat import verify
 

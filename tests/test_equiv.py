@@ -248,6 +248,39 @@ def test_minimal_representative_recovers_shift():
             assert all(v % d == f[i] for v in shifted)
 
 
+def test_minimal_representative_checks_its_shifting(monkeypatch):
+    import ratcat.equiv as equiv
+    # left_graph's levels are (0, 1, 1, 2), so the predicted shifting is (0, 0, -1, -1)
+    monkeypatch.setattr(equiv, "minimal_shifting", lambda bounds: (0, 0, -1, -2))
+    with pytest.raises(InvariantViolation, match=r"^minimal shifting \(0, 0, -1, -2\) .* "
+                       r"is not \(0, 0, -1, -1\), the one its levels predict$"):
+        minimal_representative(left_graph())
+
+
+def test_minimal_representative_does_not_rebuild_gluing_data(monkeypatch):
+    import ratcat.equiv as equiv
+    graph = left_graph()
+    calls = {"build_graph": 0, "canonical_form": 0, "__post_init__": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(equiv, "build_graph")
+    counted(equiv, "canonical_form")
+    counted(LabeledDigraph, "__post_init__")
+    rep = minimal_representative(graph)
+    assert calls == {"build_graph": 0, "canonical_form": 0, "__post_init__": 0}
+    assert gap(rep) == 14
+    # the counters see the rebuild the old self-check made
+    equiv.canonical_form(equiv.build_graph(rep))
+    assert calls == {"build_graph": 1, "canonical_form": 1, "__post_init__": 1}
+
+
 def test_equivalent_golden():
     d1 = invset_from_generators(P64, [0, 13, 8, 9, 4, 17])
     d2 = invset_from_generators(P64, [0, 19, 8, 15, 4, 11])
@@ -414,6 +447,7 @@ def check_against_oracles(delta):
     assert minimal_shifting(bounds) == oracle_minimal_shifting(bounds)
     graph = build_graph(delta)
     assert graph.levels() == oracle_levels(graph)
+    return graph
 
 
 def test_levels_and_bounds_match_oracles():
@@ -422,7 +456,9 @@ def test_levels_and_bounds_match_oracles():
         for path in enumerate_paths(params):
             graph = unglue(path)[0]
             assert graph.levels() == oracle_levels(graph)
-            check_against_oracles(minimal_representative(graph))
+            # the rebuild that minimal_representative's shifting check replaces
+            rep_graph = check_against_oracles(minimal_representative(graph))
+            assert canonical_form(rep_graph) == canonical_form(graph), path.steps
             graphs += 1
     for n, m, d in CENSUS_GRIDS:
         params = GridParams(n, m, d)

@@ -153,6 +153,17 @@ def test_glue_once_figure_steps():
         glue_once(green0, periodic_from_skeleton(3, 2, RED))
 
 
+def test_glue_once_rejects_a_foreign_periodic_path():
+    dhat = DyckPath(GridParams(2, 1, 1), "hvv")
+    # a hand-built value set that is no (2, 1) skeleton
+    with pytest.raises(InvalidSkeleton, match="^some class mod N has no skeleton value$"):
+        glue_once(dhat, glue.PeriodicPath(2, 1, frozenset({-1, 1, 3})))
+    # a valid skeleton of another grid
+    with pytest.raises(DomainError, match=r"^cannot glue a \(3,2\)-periodic path "
+                       r"into a path of the \(2,1\) grid$"):
+        glue_once(dhat, periodic_from_skeleton(3, 2, range(5)))
+
+
 def test_self_gluing_extends_window():
     blue = periodic_from_skeleton(3, 2, BLUE)
     d0 = DyckPath(P32, blue.window(-2))

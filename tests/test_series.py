@@ -3,6 +3,7 @@ import pytest
 from ratcat import (
     C_series,
     F_series,
+    FormulaMismatch,
     GridParams,
     LimitExceeded,
     QTPoly,
@@ -103,6 +104,13 @@ def test_springer_poincare():
     assert sum(poly.coeffs.values()) == bizley_count(3, 5, 1)
     with pytest.raises(ValueError):
         springer_poincare(2, 4)
+
+
+def test_springer_poincare_mismatch_names_its_grid(monkeypatch):
+    import ratcat.series as series
+    monkeypatch.setattr(series, "dinv_sweep", lambda params, path: 0)
+    with pytest.raises(FormulaMismatch, match=r"^the two Poincare formulas disagree at \(2,3\)$"):
+        springer_poincare(2, 3)
 
 
 def test_qt_polynomials_stop_at_the_enumeration_limit():
