@@ -46,7 +46,7 @@ def main():
     graph = build_graph(delta)
     print("\ngluing digraph:")
     print("  labels:", graph.labels)
-    print("  levels:", graph.levels())
+    print("  levels:", graph.levels)
     print("  edges: ", sorted(graph.edges))
 
     rep = minimal_representative(graph)

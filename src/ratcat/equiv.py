@@ -105,51 +105,52 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
     return result
 
 
-def meeting_pairs(sets) -> set[tuple[int, int]]:
-    """The index pairs i < j of the sets that share a value."""
-    return {(i, j) for i, s in enumerate(sets) for j in range(i + 1, len(sets))
-            if not s.isdisjoint(sets[j])}
+def meeting_pairs(sets) -> list[tuple[int, int]]:
+    """The index pairs i < j of the sets that share a value, in (i, j) order."""
+    return [(i, j) for i, s in enumerate(sets) for j in range(i + 1, len(sets))
+            if not s.isdisjoint(sets[j])]
 
 
 @dataclass(frozen=True)
 class LabeledDigraph:
-    """Gluing data: an acyclic digraph with coprime-skeleton labels.
+    """Gluing data: coprime-skeleton labels on levels, joined where they meet.
 
-    Vertices carry skeletons of (n, m)-invariant subsets; two labels
-    intersect as value sets exactly when the vertices are joined by an
-    edge, exactly one vertex, the source, has in-degree 0 and a 0-normalized
-    label, and every label is non-negatively normalized.
+    Vertices carry skeletons of (n, m)-invariant subsets and a level f.
+    The labels and levels determine the edges: two vertices are joined
+    exactly when their labels intersect as value sets, and the edge points
+    from the lower level to the higher.  The source is the one vertex of
+    level 0; its label is 0-normalized, every label is non-negatively
+    normalized, no two meeting vertices share a level, and every other
+    vertex meets a vertex exactly one level below it.  So the digraph is
+    acyclic, the source is its one vertex of in-degree 0, and the level of
+    each vertex is the length of the longest path to it from the source.
 
-    Validation builds successor lists and in-degrees in one pass over the
-    edges; Kahn's algorithm from the source then both rejects cycles and
-    yields the longest-path levels, which levels() returns.  The levels
-    and the memoized canonical form are not compared, hashed or printed.
+    Validation makes the one meet test of the graph.  The derived edges
+    and source and the memoized canonical form are not compared or hashed.
     """
 
     n: int
     m: int
     labels: tuple[tuple[int, ...], ...]
-    edges: frozenset[tuple[int, int]]
-    source: int = field(init=False)
-    _levels: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    levels: tuple[int, ...]
+    edges: frozenset[tuple[int, int]] = field(init=False, compare=False)
+    source: int = field(init=False, compare=False)
     _form: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(tuple(sorted(lbl)) for lbl in self.labels)
-        edges = frozenset(self.edges)
+        levels = tuple(self.levels)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "levels", levels)
         d = len(labels)
         if d < 1:
             raise InvalidGraph("need at least one vertex")
-        succ: list[list[int]] = [[] for _ in range(d)]
-        indeg = [0] * d
-        for (i, j) in edges:
-            if not (0 <= i < d and 0 <= j < d and i != j):
-                raise InvalidGraph(f"bad edge ({i}, {j})")
-            succ[i].append(j)
-            indeg[j] += 1
-        sources = [i for i in range(d) if indeg[i] == 0]
+        if len(levels) != d:
+            raise InvalidGraph(f"levels {levels} for {d} labels")
+        sources = [i for i, f in enumerate(levels) if f == 0]
+        if len(sources) != 1:
+            raise InvalidGraph(f"level-0 vertices {sources}, expected exactly one")
+        source = sources[0]
         for i, lbl in enumerate(labels):
             try:
                 rec = coprime_from_skeleton(self.n, self.m, lbl)
@@ -158,40 +159,29 @@ class LabeledDigraph:
             low = rec.min_element()
             if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
-            if [i] == sources and low != 0:
+            if i == source and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
-        meets = meeting_pairs([set(lbl) for lbl in labels])
-        joined = {(i, j) if i < j else (j, i) for i, j in edges}
-        if meets != joined or len(joined) != len(edges):
-            disagree = meets ^ joined
-            i, j = min(disagree | {(i, j) for i, j in edges if i < j and (j, i) in edges})
-            raise InvalidGraph(f"vertices {i},{j}: intersection and edge disagree"
-                               if (i, j) in disagree else f"double edge between {i} and {j}")
-        if len(sources) != 1:
-            raise InvalidGraph(f"in-degree-0 vertices {sources}, expected exactly one")
-        object.__setattr__(self, "source", sources[0])
-        # Kahn: a vertex leaves the queue after all its predecessors, so
-        # its level is final then; a vertex on a cycle never enters it.
-        level = [0] * d
-        queue = [self.source]
-        for i in queue:
-            for j in succ[i]:
-                if level[j] <= level[i]:
-                    level[j] = level[i] + 1
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    queue.append(j)
-        if len(queue) != d:
-            raise InvalidGraph("digraph has a cycle")
-        object.__setattr__(self, "_levels", tuple(level))
+        edges = []
+        grounded = [False] * d  # meets a vertex one level below
+        grounded[source] = True
+        for i, j in meeting_pairs([set(lbl) for lbl in labels]):
+            if levels[i] > levels[j]:
+                i, j = j, i
+            elif levels[i] == levels[j]:
+                raise InvalidGraph(f"vertices {i},{j} meet on level {levels[i]}")
+            edges.append((i, j))
+            if levels[j] == levels[i] + 1:
+                grounded[j] = True
+        if not all(grounded):
+            v = grounded.index(False)
+            raise InvalidGraph(f"vertex {v} of level {levels[v]} meets no vertex "
+                               f"of level {levels[v] - 1}")
+        object.__setattr__(self, "edges", frozenset(edges))
+        object.__setattr__(self, "source", source)
 
     @property
     def d(self) -> int:
         return len(self.labels)
-
-    def levels(self) -> tuple[int, ...]:
-        """Length of the longest directed path from the source to each vertex."""
-        return self._levels
 
     def to_jsonable(self) -> dict:
         return {"labels": [list(lbl) for lbl in self.labels],
@@ -203,10 +193,10 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
     """The gluing data of an invariant subset (the map into T^d_{n,m}).
 
     Applies the minimal shift to the skeleton parts, records the level
-    f(i) as the common residue mod d of the shifted part, divides by d to
-    obtain the coprime labels, and joins intersecting labels with edges
-    oriented by increasing level.  The recomputed longest-path levels
-    must reproduce f.
+    f(i) as the common residue mod d of the shifted part, and divides by
+    d to obtain the coprime labels.  The graph's validation orients the
+    meeting labels up the levels and checks that f is its longest-path
+    levels.
     """
     p = delta.params
     if not delta.normalized:
@@ -217,41 +207,23 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
     mvec = minimal_shifting(shift_bounds(sk))
     f = tuple((i + mvec[i]) % d for i in range(d))
     labels = tuple(tuple((x + mvec[i]) // d for x in parts[i]) for i in range(d))
-    edges = set()
-    for i, j in meeting_pairs([set(lbl) for lbl in labels]):
-        if f[i] == f[j]:
-            raise InvariantViolation(f"intersecting parts {i}, {j} on the same level")
-        edges.add((i, j) if f[i] < f[j] else (j, i))
     try:
-        graph = LabeledDigraph(p.n, p.m, labels, frozenset(edges))
+        return LabeledDigraph(p.n, p.m, labels, f)
     except InvalidGraph as exc:
         raise InvariantViolation(f"gluing data of {delta.gen} is invalid: {exc}") from exc
-    if graph.levels() != f:
-        raise InvariantViolation(
-            f"levels {graph.levels()} do not match the shift residues {f}")
-    return graph
 
 
 def canonical_form(graph: LabeledDigraph) -> bytes:
     """Deterministic encoding invariant under label-preserving isomorphism.
 
-    Vertices are ordered by (label, in-degree) and the reordered graph is
+    Vertices are ordered by (label, level) and the reordered graph is
     serialized once as compact JSON.  No two vertices share this key, so
-    the order is canonical: equal labels intersect, so in a validated
-    graph each group of equal labels is an acyclic tournament; and if
-    u -> v inside a group, every in-neighbour w of u also meets v, where
-    the edge v -> w would close the cycle w -> u -> v -> w, so w -> v and
-    in-degree(v) >= in-degree(u) + 1.  The form is memoized on the graph.
+    the order is canonical: equal labels meet, and meeting vertices lie on
+    different levels.  The form is memoized on the graph.
     """
     if graph._form is not None:
         return graph._form
-    indeg = [0] * graph.d
-    for (_, j) in graph.edges:
-        indeg[j] += 1
-    keys = list(zip(graph.labels, indeg))
-    if len(set(keys)) != graph.d:
-        raise InvariantViolation(f"two vertices share label and in-degree in {graph}")
-    order = sorted(range(graph.d), key=keys.__getitem__)
+    order = sorted(range(graph.d), key=list(zip(graph.labels, graph.levels)).__getitem__)
     pos = {old: new for new, old in enumerate(order)}
     payload = {"labels": [list(graph.labels[v]) for v in order],
                "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
@@ -274,7 +246,7 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     the label meets oriented up the levels.
     """
     d = graph.d
-    order = sorted(range(d), key=graph.levels().__getitem__)
+    order = sorted(range(d), key=graph.levels.__getitem__)
     values = []
     for i, v in enumerate(order):
         values.extend(d * x + i for x in graph.labels[v])
@@ -285,7 +257,7 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         raise InvalidGraph(f"labels do not assemble to a subset: {exc}") from exc
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
-    predicted = tuple(graph.levels()[v] - i for i, v in enumerate(order))
+    predicted = tuple(graph.levels[v] - i for i, v in enumerate(order))
     shifting = minimal_shifting(shift_bounds(Skeleton(params, tuple(sorted(values)))))
     if shifting != predicted:
         raise InvariantViolation(

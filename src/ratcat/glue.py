@@ -27,7 +27,7 @@ from .errors import (
     NoIntersection,
     NotBalanced,
 )
-from .equiv import LabeledDigraph, meeting_pairs
+from .equiv import LabeledDigraph
 from .invset import coprime_from_skeleton
 from .lattice import DyckPath, GridParams, step_ranks
 
@@ -60,12 +60,19 @@ class PeriodicPath:
     skel holds the n+m step ranks of any fundamental window; a point lies
     on the path iff its rank belongs to skel, and the outgoing step at
     that point is vertical exactly when the rank is a generator of the
-    underlying subset, that is, when rank + n is not in skel.
+    underlying subset, that is, when rank + n is not in skel.  skel may be
+    given as any iterable of the n+m ranks and is kept as a frozenset; a
+    value list that is no (n, m) skeleton raises InvalidSkeleton.
     """
 
     n: int
     m: int
     skel: frozenset[int]
+
+    def __post_init__(self):
+        label = tuple(sorted(self.skel))
+        coprime_from_skeleton(self.n, self.m, label)
+        object.__setattr__(self, "skel", frozenset(label))
 
     def _walk(self, r: int) -> tuple[str, list[int]]:
         """Steps and step ranks of the window from rank r: 'h' iff r + n is on the path."""
@@ -89,17 +96,16 @@ class PeriodicPath:
 
 def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     """Periodic path of the skeleton given by an iterable of n+m ranks."""
-    label = tuple(sorted(values))
-    coprime_from_skeleton(n, m, label)  # rejects a value set that is no skeleton
-    return PeriodicPath(n, m, frozenset(label))
+    return PeriodicPath(n, m, values)
 
 
 def _splice(steps: str, ranks: list[int], periodic: PeriodicPath) -> str:
     """Splice a window of periodic into steps at their first point on it.
 
-    ranks are the point ranks of steps, with or without the end point,
-    whose rank -m is the start's.  The window's own ranks are inserted;
-    it walks back to its start rank, so the rest keeps its ranks.
+    ranks are the point ranks of steps, end point included: the empty
+    path's one point, of rank -m, is where the first window enters.  The
+    window's own ranks are inserted; it walks back to its start rank, so
+    the rest keeps its ranks.
     """
     skel = periodic.skel
     for cut, r in enumerate(ranks):
@@ -123,9 +129,8 @@ def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
     if (periodic.n, periodic.m) != (p.n, p.m):
         raise DomainError(f"cannot glue a ({periodic.n},{periodic.m})-periodic path "
                           f"into a path of the ({p.n},{p.m}) grid")
-    coprime_from_skeleton(p.n, p.m, tuple(sorted(periodic.skel)))  # rejects a non-skeleton
     return _glued(GridParams(p.n, p.m, p.d + 1),
-                  _splice(dhat.steps, step_ranks(p, dhat), periodic))
+                  _splice(dhat.steps, _point_ranks(dhat), periodic))
 
 
 def glue_all(graph: LabeledDigraph) -> DyckPath:
@@ -144,8 +149,8 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     """
     n, m = graph.n, graph.m
     steps, ranks = "", [-m]  # the empty path: one point, of rank -m
-    for v in sorted(range(graph.d), key=graph.levels().__getitem__):
-        steps = _splice(steps, ranks, PeriodicPath(n, m, frozenset(graph.labels[v])))
+    for v in sorted(range(graph.d), key=graph.levels.__getitem__):
+        steps = _splice(steps, ranks, PeriodicPath(n, m, graph.labels[v]))
     return _glued(GridParams(n, m, graph.d), steps)
 
 
@@ -223,7 +228,7 @@ def _peel(path: DyckPath, ranks: list[int]):
        round of the earlier-removed windows it meets.
     """
     width = path.params.n + path.params.m
-    held = [0] * (max(ranks) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
+    held = [0] * (max(max(ranks), 0) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
     top = held.copy()  # the highest round removed so far, by rank
     stack: list[int] = []
     for z, r in enumerate(ranks):
@@ -252,8 +257,8 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     Each window _peel removes is a vertex labeled by its ranks, and its
     step positions are its color class; the last, alone in the top round,
     is the source.  Vertices follow the rounds descending, each in path
-    order.  Edges join meeting labels, which lie in different rounds, and
-    point from the later round to the earlier, so u < v.
+    order, so every window a vertex meets in a later round comes before
+    it: its level is 1 + the highest level so far at any of its ranks.
     """
     n, m = path.params.n, path.params.m
     steps = path.steps
@@ -263,9 +268,16 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     windows = sorted(_peel(path, point_ranks), key=lambda w: (-w[0], w[2][0]))
     if len(windows) > 1 and windows[1][0] == windows[0][0]:
         raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
-    skels = [skel for _, skel, _ in windows]
+    top = [-1] * (max(point_ranks) + m + 1)  # the highest level so far, by rank
+    levels = []
+    for _, skel, _ in windows:
+        level = 1 + max(map(top.__getitem__, skel))
+        for k in skel:
+            if top[k] < level:
+                top[k] = level
+        levels.append(level)
     try:
-        graph = LabeledDigraph(n, m, skels, meeting_pairs(skels))
+        graph = LabeledDigraph(n, m, [skel for _, skel, _ in windows], levels)
     except InvalidGraph as exc:
         raise InvariantViolation(f"ungluing {steps!r} gave an invalid graph: {exc}") from exc
 

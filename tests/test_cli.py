@@ -347,6 +347,23 @@ def test_round_trip_checks_fail_independently(monkeypatch):
                      "PASS B^-1 o B canonical-equal on graphs of Y_(2,1)"]
 
 
+def test_failing_class_names_its_canonical_form(monkeypatch):
+    from ratcat import GridParams, canonical_form, parse_path, unglue, verify
+
+    real = verify.area
+    monkeypatch.setattr(verify, "area", lambda params, path:
+                        real(params, path) + (path.steps == "hvhvvv"))
+    ok, lines = verify.run_suite("area-min-gap")
+    assert not ok
+    form = canonical_form(unglue(parse_path("hvhvvv", GridParams(2, 1, 2)))[0]).decode()
+    assert lines[1] == f"FAIL area(D(class)) = min gap over (4,2) classes: fails at class {form}"
+    assert lines[:1] + lines[2:] == [
+        "PASS area(D(class)) = min gap over (2,2) classes: 2 classes",
+        "PASS area(D(class)) = min gap over (2,4) classes: 3 classes",
+        "PASS area(D(class)) = min gap over (3,3) classes: 5 classes",
+        "PASS area(D(class)) = min gap over (6,4) classes: 23 classes"]
+
+
 @pytest.mark.parametrize("suite", [
     "golden-zeta", "worked-12-8", "area-min-gap", "series", "conjecture-probe"])
 def test_unsized_suite_rejects_max_size(capsys, suite):

@@ -30,6 +30,8 @@ from ratcat import (
 from ratcat.invset import InvariantSet
 from ratcat.verify import all_grid_params
 
+from graph_oracles import graph_from_edges, oracle_canonical_form, oracle_levels
+
 P128 = GridParams(3, 2, 4)
 P64 = GridParams(3, 2, 2)
 P22 = GridParams(1, 1, 2)
@@ -40,7 +42,7 @@ def worked_delta():
 
 
 def left_graph():
-    return LabeledDigraph(
+    return graph_from_edges(
         3, 2,
         labels=((-2, 0, 1, 2, 4), (4, 6, 7, 8, 10),
                 (-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)),
@@ -48,7 +50,7 @@ def left_graph():
 
 
 def right_graph():
-    return LabeledDigraph(
+    return graph_from_edges(
         3, 2,
         labels=((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
                 (4, 6, 7, 8, 10), (4, 5, 6, 7, 8)),
@@ -121,7 +123,7 @@ def test_build_graph_golden():
     graph = build_graph(worked_delta())
     assert graph.labels == ((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
                             (4, 5, 6, 7, 8), (4, 6, 7, 8, 10))
-    assert graph.levels() == (0, 1, 2, 1)
+    assert graph.levels == (0, 1, 2, 1)
     assert sorted(graph.edges) == [(0, 1), (0, 2), (0, 3), (3, 2)]
     coprime = build_graph(semigroup(GridParams(5, 3, 1)))
     assert coprime.d == 1 and not coprime.edges
@@ -176,11 +178,12 @@ def oracle_graphs():
 
 def relabeled(graph, perm):
     """The same graph with vertex v renamed perm[v]."""
-    labels = [None] * graph.d
+    labels, levels = [None] * graph.d, [None] * graph.d
     for v, lbl in enumerate(graph.labels):
-        labels[perm[v]] = lbl
-    return LabeledDigraph(graph.n, graph.m, tuple(labels),
-                          frozenset((perm[i], perm[j]) for (i, j) in graph.edges))
+        labels[perm[v]], levels[perm[v]] = lbl, graph.levels[v]
+    other = LabeledDigraph(graph.n, graph.m, tuple(labels), tuple(levels))
+    assert other.edges == {(perm[i], perm[j]) for (i, j) in graph.edges}
+    return other
 
 
 def test_canonical_form_matches_permutation_search():
@@ -212,7 +215,7 @@ def test_canonical_form_nine_equal_labels():
     graph = build_graph(InvariantSet(GridParams(1, 1, 9), tuple(range(9))))
     assert graph.d == 9 and len(set(graph.labels)) == 1
     form = canonical_form(graph)
-    # the nine copies form a transitive tournament in in-degree order
+    # the nine copies form a transitive tournament in level order
     assert form.startswith(b'{"edges":[[0,1],[0,2],')
     perm = list(range(9))
     random.Random(9).shuffle(perm)
@@ -242,7 +245,7 @@ def test_minimal_representative_recovers_shift():
         mvec = minimal_shifting(shift_bounds(sk))
         parts = sk.parts_mod_d()
         d = rep.params.d
-        f = build_graph(rep).levels()
+        f = build_graph(rep).levels
         for i in range(d):
             shifted = sorted(x + mvec[i] for x in parts[i])
             assert all(v % d == f[i] for v in shifted)
@@ -301,14 +304,14 @@ def test_min_gap_in_class():
 
 def test_graph_validation():
     with pytest.raises(InvalidGraph):
-        LabeledDigraph(3, 2, labels=((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2)),
-                       edges=frozenset())  # missing edge
-    with pytest.raises(InvalidGraph):
-        LabeledDigraph(3, 2, labels=((0, 1, 2, 3, 4),),
-                       edges=frozenset())  # not a skeleton
+        LabeledDigraph(3, 2, labels=((-2, -1, 0, 1, 2), (4, 5, 6, 7, 8)),
+                       levels=(0, 1))  # level 1 meets nothing on level 0
     with pytest.raises(InvalidGraph):
         LabeledDigraph(3, 2, labels=((-2, 2, 4, 5, 8),),
-                       edges=frozenset())  # not 0-normalized at the source
+                       levels=(0,))  # not a skeleton
+    with pytest.raises(InvalidGraph):
+        LabeledDigraph(3, 2, labels=((0, 1, 2, 3, 4),),
+                       levels=(0,))  # not 0-normalized at the source
 
 
 def test_census_matches_canonical_classes():
@@ -330,9 +333,9 @@ def test_census_matches_canonical_classes():
 
 def test_invalid_graph_from_build_graph_is_an_invariant_violation(monkeypatch):
     import ratcat.equiv as equiv
-    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: set())  # no edges
+    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: [])  # no edges
     with pytest.raises(InvariantViolation, match=r"^gluing data of \(0, 1, .* is invalid: "
-                       r"in-degree-0 vertices \[0, 1, 2, 3\], expected exactly one$") as exc:
+                       r"vertex 1 of level 1 meets no vertex of level 0$") as exc:
         build_graph(worked_delta())
     assert isinstance(exc.value.__cause__, InvalidGraph)
 
@@ -350,40 +353,15 @@ def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     monkeypatch.setattr(invset, "invset_from_skeleton", broken)
     monkeypatch.setattr(equiv, "invset_from_skeleton", broken)
     with pytest.raises(ZeroDivisionError):
-        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges)
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.levels)
     # errors are not cached: the same labels raise again
     with pytest.raises(ZeroDivisionError):
-        LabeledDigraph(graph.n, graph.m, graph.labels, graph.edges)
+        LabeledDigraph(graph.n, graph.m, graph.labels, graph.levels)
     with pytest.raises(ZeroDivisionError):
         minimal_representative(graph)
 
 
-# -- the pre-Kahn validation and the per-pair bounds, kept as oracles --------
-
-def oracle_levels(graph):
-    """Longest-path levels by a topological sort that rescans every edge."""
-    d = graph.d
-    indeg = [0] * d
-    for (_, j) in graph.edges:
-        indeg[j] += 1
-    queue = [i for i in range(d) if indeg[i] == 0]
-    order = []
-    while queue:
-        i = queue.pop()
-        order.append(i)
-        for (a, b) in graph.edges:
-            if a == i:
-                indeg[b] -= 1
-                if indeg[b] == 0:
-                    queue.append(b)
-    assert len(order) == d
-    f = [0] * d
-    for i in order:
-        for (a, b) in graph.edges:
-            if a == i:
-                f[b] = max(f[b], f[i] + 1)
-    return tuple(f)
-
+# -- the per-pair bounds and the relaxation, kept as oracles ---------------
 
 def oracle_btilde(skel):
     """Collision distances by a bisect per value and ordered pair of parts."""
@@ -446,7 +424,8 @@ def check_against_oracles(delta):
                              for row in oracle_btilde(sk))
     assert minimal_shifting(bounds) == oracle_minimal_shifting(bounds)
     graph = build_graph(delta)
-    assert graph.levels() == oracle_levels(graph)
+    assert graph.levels == oracle_levels(graph.d, graph.edges)
+    assert canonical_form(graph) == oracle_canonical_form(graph)
     return graph
 
 
@@ -455,7 +434,8 @@ def test_levels_and_bounds_match_oracles():
     for params in all_grid_params(14):
         for path in enumerate_paths(params):
             graph = unglue(path)[0]
-            assert graph.levels() == oracle_levels(graph)
+            assert graph.levels == oracle_levels(graph.d, graph.edges)
+            assert canonical_form(graph) == oracle_canonical_form(graph)
             # the rebuild that minimal_representative's shifting check replaces
             rep_graph = check_against_oracles(minimal_representative(graph))
             assert canonical_form(rep_graph) == canonical_form(graph), path.steps
@@ -478,23 +458,14 @@ def test_positive_cycle_is_infeasible():
         oracle_minimal_shifting(bounds)
 
 
-def test_cycle_and_double_edge_rejected():
-    zero = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
-    with pytest.raises(InvalidGraph, match="cycle"):
-        LabeledDigraph(1, 1, labels=(zero,) * 4,
-                       edges={(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (3, 1)})
-    with pytest.raises(InvalidGraph, match="double edge"):
-        LabeledDigraph(1, 1, labels=(zero, zero), edges={(0, 1), (1, 0)})
-
-
 def test_cached_fields_do_not_change_identity():
     graph, fresh = left_graph(), left_graph()
     assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
-    assert graph.levels() == (0, 1, 1, 2)
+    assert graph.levels == (0, 1, 1, 2)
     form = canonical_form(graph)
     assert graph._form == form and fresh._form is None
     assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
-    assert "_levels" not in repr(graph) and "_form" not in repr(graph)
+    assert "_form" not in repr(graph)
 
 
 BLUE, GREEN = (-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2)
@@ -502,20 +473,35 @@ ORANGE, RED = (4, 6, 7, 8, 10), (4, 5, 6, 7, 8)
 ZERO = (-1, 0)  # the 0-normalized (1, 1) skeleton; equal labels all meet
 
 
-@pytest.mark.parametrize("n, m, labels, edges, message", [
-    (3, 2, (BLUE, GREEN), (), "vertices 0,1: intersection and edge disagree"),
-    (3, 2, (BLUE, GREEN, RED), {(0, 1), (0, 2), (1, 2)},
-     "vertices 1,2: intersection and edge disagree"),
-    (1, 1, (ZERO, ZERO), {(0, 1), (1, 0)}, "double edge between 0 and 1"),
-    (1, 1, (ZERO, ZERO), {(0, 2)}, "bad edge (0, 2)"),
-    # (1,3) is extra and (2,3) missing: the first pair in (i, j) order is named
-    (3, 2, (BLUE, GREEN, ORANGE, RED), {(0, 1), (0, 2), (0, 3), (1, 3)},
-     "vertices 1,3: intersection and edge disagree"),
-    (1, 1, (ZERO,) * 3, {(0, 1), (1, 0), (0, 2)}, "double edge between 0 and 1"),
-    (1, 1, (ZERO,) * 3, {(0, 1), (0, 2), (1, 2), (2, 1)}, "double edge between 1 and 2"),
-    (3, 2, (GREEN, RED), (), "in-degree-0 vertices [0, 1], expected exactly one"),
+@pytest.mark.parametrize("n, m, labels, levels, message", [
+    (3, 2, (BLUE, ORANGE, RED), (0, 1, 1), "vertices 1,2 meet on level 1"),
+    (1, 1, (ZERO,) * 3, (0, 1, 1), "vertices 1,2 meet on level 1"),
+    (3, 2, (GREEN, RED), (0, 0), "level-0 vertices [0, 1], expected exactly one"),
+    (3, 2, (BLUE, GREEN), (1, 2), "level-0 vertices [], expected exactly one"),
+    (3, 2, (GREEN, RED), (0, 1), "vertex 1 of level 1 meets no vertex of level 0"),
+    # a longest path to GREEN has one edge, not two
+    (3, 2, (BLUE, GREEN), (0, 2), "vertex 1 of level 2 meets no vertex of level 1"),
+    # only the source is excused: d - 1 grounded vertices are not enough
+    (1, 1, (ZERO, ZERO), (0, -1), "vertex 1 of level -1 meets no vertex of level -2"),
+    (3, 2, (BLUE, GREEN), (0,), "levels (0,) for 2 labels"),
+    (3, 2, (), (), "need at least one vertex"),
+    (3, 2, ((-2, 2, 4, 5, 8),), (0,),
+     "label 0 is not a skeleton: some class mod N has no skeleton value"),
+    (3, 2, (BLUE, (-7, -5, -4, -3, -1)), (0, 1), "label 1 not non-negatively normalized"),
+    (3, 2, ((0, 1, 2, 3, 4),), (0,), "source label must be 0-normalized"),
 ])
-def test_graph_validation_messages(n, m, labels, edges, message):
+def test_graph_validation_messages(n, m, labels, levels, message):
     with pytest.raises(InvalidGraph) as exc:
-        LabeledDigraph(n, m, labels=labels, edges=edges)
+        LabeledDigraph(n, m, labels=labels, levels=levels)
     assert str(exc.value) == message
+
+
+def test_build_graph_runs_the_meet_test_once(monkeypatch):
+    import ratcat.equiv as equiv
+    calls = []
+    real = equiv.meeting_pairs
+    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: calls.append(1) or real(sets))
+    for delta in [worked_delta(), semigroup(GridParams(5, 3, 1))]:
+        calls.clear()
+        build_graph(delta)
+        assert len(calls) == 1

@@ -39,6 +39,8 @@ from ratcat.glue import glue_once
 from ratcat.invset import invset_from_skeleton
 from ratcat.verify import all_grid_params, component_oracle
 
+from graph_oracles import graph_from_edges, oracle_canonical_form
+
 BLUE = (-2, 0, 1, 2, 4)
 GREEN = (-2, -1, 0, 1, 2)
 RED = (4, 5, 6, 7, 8)
@@ -47,8 +49,8 @@ P32 = GridParams(3, 2, 1)
 
 
 def example_graph():
-    return LabeledDigraph(3, 2, labels=(BLUE, ORANGE, GREEN, RED),
-                          edges={(0, 1), (0, 2), (0, 3), (1, 3)})
+    return graph_from_edges(3, 2, labels=(BLUE, ORANGE, GREEN, RED),
+                            edges={(0, 1), (0, 2), (0, 3), (1, 3)})
 
 
 def test_periodic_from_skeleton_golden():
@@ -63,6 +65,8 @@ def test_periodic_from_skeleton_golden():
     assert (stair.window(-1), stair.window(0)) == ("hv", "vh")
     with pytest.raises(InvalidSkeleton):
         periodic_from_skeleton(3, 2, (0, 2, 4, 6, 8))
+    with pytest.raises(InvalidSkeleton, match="^need 5 values, got 6$"):
+        periodic_from_skeleton(3, 2, (-2, 0, 0, 1, 2, 4))  # a repeated value
 
 
 def _reference_window(n, m, label, r):
@@ -102,9 +106,9 @@ def test_window_matches_generator_walk():
                     assert periodic.window(r) == window
                     walks += 1
     assert walks == 9136
-    # a value set that is no skeleton, built by hand, can walk off its period
-    with pytest.raises(InvariantViolation, match="^window 'hhv' does not return to rank 0$"):
-        glue.PeriodicPath(2, 1, frozenset({0, 2, 4})).window(0)
+    # a value set that is no skeleton, built by hand, is rejected at construction
+    with pytest.raises(InvalidSkeleton):
+        glue.PeriodicPath(2, 1, frozenset({0, 2, 4}))
 
 
 def test_paths_intersect_golden():
@@ -185,7 +189,7 @@ def test_glue_order_within_level_is_irrelevant():
     for params in [GridParams(2, 1, 3), GridParams(3, 2, 2), GridParams(2, 1, 4)]:
         for delta in enumerate_invsets_by_gap(params, params.N + params.M):
             graph = build_graph(delta)
-            f = graph.levels()
+            f = graph.levels
             reference = glue_all(graph).steps
             # exhaust all orders per level
             by_level = {}
@@ -204,8 +208,7 @@ def test_glue_order_within_level_is_irrelevant():
 
 
 def _single_vertex(graph):
-    return LabeledDigraph(graph.n, graph.m,
-                          (graph.labels[graph.source],), frozenset())
+    return LabeledDigraph(graph.n, graph.m, (graph.labels[graph.source],), (0,))
 
 
 def test_good_intervals_golden():
@@ -262,14 +265,15 @@ def test_window_start_out_of_range_is_rejected():
 
 
 def test_remove_then_glue_back_roundtrip():
+    # at d = 1 the smaller path is the empty one, whose one point has rank -m
     for params in all_grid_params(12):
-        if params.d == 1:
-            continue
         n, m = params.n, params.m
         for D in enumerate_paths(params):
             for r in good_intervals(D):
                 skel = window_skeleton(D, r)
                 smaller = remove_interval(D, r)
+                if params.d == 1:
+                    assert good_intervals(smaller) == []
                 back = glue_once(smaller, periodic_from_skeleton(n, m, skel))
                 assert back.steps == D.steps
 
@@ -500,7 +504,7 @@ def _reference_glue_all(graph):
     """The gluing as a chain of validated splices, each walking the ranks
     of the whole current path to find its cut."""
     n, m = graph.n, graph.m
-    source, *rest = sorted(range(graph.d), key=graph.levels().__getitem__)
+    source, *rest = sorted(range(graph.d), key=graph.levels.__getitem__)
     cur = DyckPath(GridParams(n, m, 1),
                    periodic_from_skeleton(n, m, graph.labels[source]).window(-m))
     for v in rest:
@@ -549,8 +553,7 @@ def _reference_unglue(path):
             batch_of.append(b)
     edges = {(u, v) for u in range(len(skels)) for v in range(len(skels))
              if batch_of[u] > batch_of[v] and skels[u] & skels[v]}
-    graph = LabeledDigraph(n, m, tuple(tuple(sorted(s)) for s in skels),
-                           frozenset(edges))
+    graph = graph_from_edges(n, m, tuple(tuple(sorted(s)) for s in skels), edges)
     colors = tuple(vertex_of[tag] for tag in tags)
     components = []
     for v in range(len(skels)):
@@ -588,7 +591,10 @@ def _sampled_paths():
 def test_unglue_and_glue_all_match_references():
     for D in [*_paths_up_to(14), *_sampled_paths()]:
         graph, colored = unglue(D)
-        assert (graph, colored.colors, colored.components) == _reference_unglue(D), D.steps
+        reference = _reference_unglue(D)
+        assert (graph, colored.colors, colored.components) == reference, D.steps
+        assert graph.edges == reference[0].edges, D.steps
+        assert canonical_form(graph) == oracle_canonical_form(graph), D.steps
         assert glue_all(graph).steps == _reference_glue_all(graph).steps == D.steps
 
 
@@ -642,9 +648,21 @@ def test_unglue_failure_paths(monkeypatch):
 
 
 def test_invalid_graph_from_unglue_is_an_invariant_violation(monkeypatch):
+    import ratcat.equiv as equiv
     D = glue_all(example_graph())
-    monkeypatch.setattr(glue, "meeting_pairs", lambda sets: set())  # no edges
+    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: [])  # no edges
     with pytest.raises(InvariantViolation, match=f"^ungluing {D.steps!r} gave an invalid graph: "
-                       "vertices 0,1: intersection and edge disagree$") as exc:
+                       "vertex 1 of level 1 meets no vertex of level 0$") as exc:
         unglue(D)
     assert isinstance(exc.value.__cause__, InvalidGraph)
+
+
+def test_unglue_runs_the_meet_test_once(monkeypatch):
+    import ratcat.equiv as equiv
+    calls = []
+    real = equiv.meeting_pairs
+    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: calls.append(1) or real(sets))
+    for D in [glue_all(example_graph()), *_seeded_paths(GridParams(1, 1, 40), 3, seed=2)]:
+        calls.clear()
+        unglue(D)
+        assert len(calls) == 1, D.steps
