@@ -32,7 +32,7 @@ def main():
     print("  5-generators  ", generators_n(delta))
     print("  3-cogenerators", cogenerators_m(delta))
     print("  gaps          ", gaps(delta), f"(gap = {gap(delta)})")
-    print("  skeleton      ", list(skeleton(delta).values()))
+    print("  skeleton      ", list(skeleton(delta).sorted_values))
     print("  D(Delta)      ", map_D_coprime(delta).steps)
     print("  G(Delta)      ", map_G(delta).steps)
     print("  zeta(D(Delta))", zeta(params, map_D_coprime(delta)).steps,

@@ -127,7 +127,7 @@ def cmd_invset_info(args) -> int:
     lines = [
         f"generators    {info['generators']}",
         f"cogenerators  {info['cogenerators']}",
-        f"skeleton      {list(sk.values())}",
+        f"skeleton      {list(sk.sorted_values)}",
         f"gap           {info['gap']}",
         f"dinv          {info['dinv']}",
         f"G image       {info['g_image']}",

@@ -53,7 +53,7 @@ def shift_bounds(skel: Skeleton) -> ShiftBounds:
     d = skel.params.d
     b = [[None] * d for _ in range(d)]
     nxt: list[int | None] = [None] * d
-    for x in reversed(skel.values()):
+    for x in reversed(skel.sorted_values):
         i = x % d
         row = b[i]
         for j, y in enumerate(nxt):
@@ -126,7 +126,7 @@ class LabeledDigraph:
     each vertex is the length of the longest path to it from the source.
 
     Validation makes the one meet test of the graph.  The derived edges
-    and source and the memoized canonical form are not compared or hashed.
+    and source are not compared or hashed.
     """
 
     n: int
@@ -135,7 +135,6 @@ class LabeledDigraph:
     levels: tuple[int, ...]
     edges: frozenset[tuple[int, int]] = field(init=False, compare=False)
     source: int = field(init=False, compare=False)
-    _form: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(tuple(sorted(lbl)) for lbl in self.labels)
@@ -219,18 +218,14 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     Vertices are ordered by (label, level) and the reordered graph is
     serialized once as compact JSON.  No two vertices share this key, so
     the order is canonical: equal labels meet, and meeting vertices lie on
-    different levels.  The form is memoized on the graph.
+    different levels.
     """
-    if graph._form is not None:
-        return graph._form
     order = sorted(range(graph.d), key=list(zip(graph.labels, graph.levels)).__getitem__)
     pos = {old: new for new, old in enumerate(order)}
     payload = {"labels": [list(graph.labels[v]) for v in order],
                "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
                "source": pos[graph.source]}
-    form = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
-    object.__setattr__(graph, "_form", form)
-    return form
+    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
 
 
 def minimal_representative(graph: LabeledDigraph) -> InvariantSet:

@@ -53,6 +53,21 @@ def _glued(params: GridParams, steps: str) -> DyckPath:
         raise InvariantViolation(f"gluing produced {steps!r}, not a Dyck path: {exc}") from exc
 
 
+def _walk(n: int, m: int, skel: frozenset[int], r: int) -> tuple[str, list[int]]:
+    """Steps and step ranks of the window from rank r: 'h' iff r + n is in skel."""
+    start, steps, ranks = r, [], []
+    for _ in range(n + m):
+        if r not in skel:
+            raise NoIntersection(f"no point of rank {r} is on the path")
+        ranks.append(r)
+        up = r + n not in skel
+        steps.append("v" if up else "h")
+        r += -m if up else n
+    if r != start:
+        raise InvariantViolation(f"window {''.join(steps)!r} does not return to rank {start}")
+    return "".join(steps), ranks
+
+
 @dataclass(frozen=True)
 class PeriodicPath:
     """(n, m)-periodic boundary path of a possibly shifted invariant subset.
@@ -74,24 +89,9 @@ class PeriodicPath:
         coprime_from_skeleton(self.n, self.m, label)
         object.__setattr__(self, "skel", frozenset(label))
 
-    def _walk(self, r: int) -> tuple[str, list[int]]:
-        """Steps and step ranks of the window from rank r: 'h' iff r + n is on the path."""
-        n, m, skel = self.n, self.m, self.skel
-        start, steps, ranks = r, [], []
-        for _ in range(n + m):
-            if r not in skel:
-                raise NoIntersection(f"no point of rank {r} is on the path")
-            ranks.append(r)
-            up = r + n not in skel
-            steps.append("v" if up else "h")
-            r += -m if up else n
-        if r != start:
-            raise InvariantViolation(f"window {''.join(steps)!r} does not return to rank {start}")
-        return "".join(steps), ranks
-
     def window(self, r: int) -> str:
         """The fundamental window that starts at the point of rank r."""
-        return self._walk(r)[0]
+        return _walk(self.n, self.m, self.skel, r)[0]
 
 
 def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
@@ -99,21 +99,20 @@ def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     return PeriodicPath(n, m, values)
 
 
-def _splice(steps: str, ranks: list[int], periodic: PeriodicPath) -> str:
-    """Splice a window of periodic into steps at their first point on it.
+def _splice(steps: str, ranks: list[int], n: int, m: int, skel: frozenset[int]) -> str:
+    """Splice a window of the periodic path on skel into steps at their first point on it.
 
     ranks are the point ranks of steps, end point included: the empty
     path's one point, of rank -m, is where the first window enters.  The
     window's own ranks are inserted; it walks back to its start rank, so
     the rest keeps its ranks.
     """
-    skel = periodic.skel
     for cut, r in enumerate(ranks):
         if r in skel:
             break
     else:
         raise NoIntersection("the periodic path misses the current path")
-    window, window_ranks = periodic._walk(r)
+    window, window_ranks = _walk(n, m, skel, r)
     ranks[cut:cut] = window_ranks
     return steps[:cut] + window + steps[cut:]
 
@@ -130,7 +129,7 @@ def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
         raise DomainError(f"cannot glue a ({periodic.n},{periodic.m})-periodic path "
                           f"into a path of the ({p.n},{p.m}) grid")
     return _glued(GridParams(p.n, p.m, p.d + 1),
-                  _splice(dhat.steps, _point_ranks(dhat), periodic))
+                  _splice(dhat.steps, _point_ranks(dhat), p.n, p.m, periodic.skel))
 
 
 def glue_all(graph: LabeledDigraph) -> DyckPath:
@@ -141,8 +140,10 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     its window starts at the point of rank -m, the start of every path,
     which the source label holds, as the graph checked it is 0-normalized.
 
-    The ranks are spliced along with the steps, and only the final path
-    is validated.  That covers every intermediate path: each window walks
+    Each window is walked straight from its validated label; each but the
+    source's meets one spliced a level earlier, so a miss is a bug.  The
+    ranks are spliced along with the steps, and only the final path is
+    validated.  That covers every intermediate path: each window walks
     back to its start rank, so it is balanced and its splice only inserts
     ranks; an intermediate path's point ranks are among the final path's,
     all >= -m when that one is Dyck.
@@ -150,7 +151,10 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     n, m = graph.n, graph.m
     steps, ranks = "", [-m]  # the empty path: one point, of rank -m
     for v in sorted(range(graph.d), key=graph.levels.__getitem__):
-        steps = _splice(steps, ranks, PeriodicPath(n, m, graph.labels[v]))
+        try:
+            steps = _splice(steps, ranks, n, m, frozenset(graph.labels[v]))
+        except NoIntersection as exc:
+            raise InvariantViolation(f"gluing vertex {v} of {graph.labels}: {exc}") from exc
     return _glued(GridParams(n, m, graph.d), steps)
 
 
@@ -273,8 +277,7 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     for _, skel, _ in windows:
         level = 1 + max(map(top.__getitem__, skel))
         for k in skel:
-            if top[k] < level:
-                top[k] = level
+            top[k] = level
         levels.append(level)
     try:
         graph = LabeledDigraph(n, m, [skel for _, skel, _ in windows], levels)

@@ -80,9 +80,6 @@ class Skeleton:
     params: GridParams
     sorted_values: tuple[int, ...]
 
-    def values(self) -> tuple[int, ...]:
-        return self.sorted_values
-
     def step_pattern(self) -> str:
         """'v' per generator, 'h' per cogenerator, in increasing value order."""
         N, members = self.params.N, set(self.sorted_values)
@@ -301,9 +298,6 @@ class CorePartition:
             raise ValueError("parts must be positive")
         if any(a < b for a, b in zip(self.parts, self.parts[1:])):
             raise ValueError("parts must be weakly decreasing")
-
-    def size(self) -> int:
-        return sum(self.parts)
 
     def first_column_hooks(self) -> list[int]:
         r = len(self.parts)

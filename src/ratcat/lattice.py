@@ -167,7 +167,6 @@ def step_ranks(params: GridParams, path: DyckPath) -> list[int]:
     return ranks
 
 
-@lru_cache(maxsize=None)
 def subdiagonal_box_count(params: GridParams) -> int:
     """Number of boxes of the rectangle lying weakly under the diagonal."""
     total = 0

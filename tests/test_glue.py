@@ -102,7 +102,7 @@ def test_window_matches_generator_walk():
                     ranks = [r]
                     for s in window[:-1]:
                         ranks.append(ranks[-1] + (n if s == "h" else -m))
-                    assert periodic._walk(r) == (window, ranks), (label, r)
+                    assert glue._walk(n, m, periodic.skel, r) == (window, ranks), (label, r)
                     assert periodic.window(r) == window
                     walks += 1
     assert walks == 9136
@@ -334,7 +334,7 @@ def test_step_rank_skeleton_correspondence():
             graph = build_graph(delta)
             rep = minimal_representative(graph)
             D = glue_all(graph)
-            expected = sorted(x // params.d for x in skeleton(rep).values())
+            expected = sorted(x // params.d for x in skeleton(rep).sorted_values)
             assert sorted(step_ranks(params, D)) == expected
 
 
@@ -435,7 +435,7 @@ def test_invariant_violation_survives_optimize():
         import ratcat.glue as glue
         from ratcat import GridParams, InvariantViolation, glue_all, parse_path, unglue
         graph = unglue(parse_path("hvhv", GridParams(1, 1, 2)))[0]
-        glue.PeriodicPath._walk = lambda self, r: ("vh", [r, r - 1])  # above the diagonal
+        glue._walk = lambda n, m, skel, r: ("vh", [r, r - 1])  # above the diagonal
         try:
             glue_all(graph)
         except InvariantViolation as exc:
@@ -655,6 +655,32 @@ def test_invalid_graph_from_unglue_is_an_invariant_violation(monkeypatch):
                        "vertex 1 of level 1 meets no vertex of level 0$") as exc:
         unglue(D)
     assert isinstance(exc.value.__cause__, InvalidGraph)
+
+
+def test_glue_all_checks_no_label_again(monkeypatch):
+    # the graph validated its labels: gluing builds no PeriodicPath and
+    # makes no skeleton check of its own
+    paths = list(_seeded_paths(GridParams(1, 1, 40), 3, seed=3))
+    graphs = [unglue(D)[0] for D in paths]
+    calls = []
+    real_check, real_init = glue.coprime_from_skeleton, glue.PeriodicPath.__post_init__
+    monkeypatch.setattr(glue, "coprime_from_skeleton",
+                        lambda *args: calls.append("check") or real_check(*args))
+    monkeypatch.setattr(glue.PeriodicPath, "__post_init__",
+                        lambda self: calls.append("init") or real_init(self))
+    assert glue_all(example_graph()).steps == "hvhvvhhhvhvvhhvvvvvv"
+    assert [glue_all(graph) for graph in graphs] == paths
+    assert calls == []
+
+
+def test_glue_all_miss_is_an_invariant_violation():
+    # a forged level function glues (1, 2) before (0, 1), the one it meets
+    graph = LabeledDigraph(1, 1, ((-1, 0), (0, 1), (1, 2)), (0, 1, 2))
+    object.__setattr__(graph, "levels", (0, 2, 1))
+    with pytest.raises(InvariantViolation, match=r"^gluing vertex 2 of \(\(-1, 0\), \(0, 1\), "
+                       r"\(1, 2\)\): the periodic path misses the current path$") as exc:
+        glue_all(graph)
+    assert isinstance(exc.value.__cause__, NoIntersection)
 
 
 def test_unglue_runs_the_meet_test_once(monkeypatch):

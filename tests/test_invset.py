@@ -89,9 +89,9 @@ def test_generators_cogenerators_golden():
 
 
 def test_skeleton_golden():
-    assert skeleton(delta1_64()).values() == (-4, 0, 2, 4, 5, 8, 9, 11, 13, 17)
+    assert skeleton(delta1_64()).sorted_values == (-4, 0, 2, 4, 5, 8, 9, 11, 13, 17)
     sk = skeleton(exzeta_delta())
-    assert sk.values() == (-3, 0, 2, 3, 4, 6, 7, 9)
+    assert sk.sorted_values == (-3, 0, 2, 3, 4, 6, 7, 9)
     assert sk.step_pattern() == "hvhvhvvv"
 
 
@@ -99,7 +99,7 @@ def test_skeleton_reconstruction():
     for delta in [exzeta_delta(), delta1_64(), delta2_64(),
                   invset_from_generators(P64, [0, 1]),
                   natural_numbers(P22).shifted(3)]:
-        rebuilt = invset_from_skeleton(delta.params, skeleton(delta).values())
+        rebuilt = invset_from_skeleton(delta.params, skeleton(delta).sorted_values)
         assert rebuilt.gen == delta.gen
 
 
@@ -107,7 +107,7 @@ def test_skeleton_membership_lemma():
     # x is a skeleton value iff x+M is in Delta and x-N is not
     for delta in [exzeta_delta(), delta1_64(), semigroup(P53)]:
         N, M = delta.params.N, delta.params.M
-        values = set(skeleton(delta).values())
+        values = set(skeleton(delta).sorted_values)
         for x in range(min(values) - N - M, max(values) + N + M):
             in_skel = delta.contains(x + M) and not delta.contains(x - N)
             assert (x in values) == in_skel
