@@ -26,6 +26,7 @@ from ratcat import (
     unglue,
     window_skeleton,
 )
+from ratcat.equiv import meeting_pairs
 
 
 def main():
@@ -47,7 +48,10 @@ def main():
     print("\ngluing digraph:")
     print("  labels:", graph.labels)
     print("  levels:", graph.levels)
-    print("  edges: ", sorted(graph.edges))
+    # meeting labels are joined, from the lower level to the higher
+    f = graph.levels
+    print("  edges: ", sorted((i, j) if f[i] < f[j] else (j, i)
+                              for i, j in meeting_pairs([set(lbl) for lbl in graph.labels])))
 
     rep = minimal_representative(graph)
     print("\nminimal representative parts:", skeleton(rep).parts_mod_d())

@@ -12,7 +12,8 @@ equality of canonical forms of these digraphs decides equivalence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from .errors import (
     Infeasible,
     InvalidGraph,
@@ -37,11 +38,23 @@ class ShiftBounds:
 
     b[i][j] is one less than the least positive difference y - x over x in
     S_i, y in S_j (the collision distance when part i slides up against
-    part j), and bounds the integral shifts: a_i - a_j <= b[i][j].
+    part j), and bounds the integral shifts: a_i - a_j <= b[i][j].  So no
+    entry is negative; the constructor checks that, and that b is square.
     """
 
-    d: int
     b: tuple[tuple[int | None, ...], ...]
+
+    def __post_init__(self):
+        if set(map(len, self.b)) != {len(self.b)}:
+            raise ValueError("a bound matrix needs d >= 1 rows of d entries, not row "
+                             f"lengths {[len(row) for row in self.b]}")
+        low = min(filter(None, chain.from_iterable(self.b)), default=0)  # skips None and 0
+        if low < 0:
+            raise ValueError(f"negative bound {low}")
+
+    @property
+    def d(self) -> int:
+        return len(self.b)
 
 
 def shift_bounds(skel: Skeleton) -> ShiftBounds:
@@ -60,19 +73,18 @@ def shift_bounds(skel: Skeleton) -> ShiftBounds:
             if y is not None and j != i and (row[j] is None or y - x - 1 < row[j]):
                 row[j] = y - x - 1
         nxt[i] = x
-    return ShiftBounds(d, tuple(map(tuple, b)))
+    return ShiftBounds(tuple(map(tuple, b)))
 
 
 def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
     """Componentwise-least integral acceptable shifting (m[0] = 0).
 
     m_i is the largest total weight of a walk from i to 0 in the graph
-    with arc weights -b[next][current]; computed by rounds of longest-path
-    relaxation that stop at the first round with no change.  Without a
-    positive cycle every longest walk has at most d-1 arcs, so round d
-    changes nothing; a change in round d means the bounds admit a
-    positive cycle, which cannot happen for bounds derived from an
-    actual skeleton.
+    with arc weights -b[next][current], all <= 0 as no bound is negative;
+    rounds of longest-path relaxation stop at the first with no change.
+    No cycle is positive, so a longest walk has at most d-1 arcs and round
+    d changes nothing.  Every value is <= 0, and a round with no change
+    meets every bound: for i >= 1 by the relaxation, for i = 0 as v[j] <= 0 <= b[j][0].
     """
     d, b = bounds.d, bounds.b
     v: list[int | None] = [None] * d
@@ -89,20 +101,10 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
                     changed = True
         if not changed:
             break
-    else:
-        raise Infeasible("relaxation failed to stabilize")
     for i in range(1, d):
         if v[i] is None:
             raise Infeasible(f"no finite bound chain from {i} to 0")
-    result = tuple(v)
-    if any(x > 0 for x in result):
-        raise InvariantViolation(f"minimal shifting {result} has a positive entry")
-    for i in range(d):
-        for j in range(d):
-            if i != j and b[i][j] is not None and result[i] - result[j] > b[i][j]:
-                raise InvariantViolation(
-                    f"minimal shifting {result} breaks the bound b[{i}][{j}]")
-    return result
+    return tuple(v)
 
 
 def meeting_pairs(sets) -> list[tuple[int, int]]:
@@ -125,16 +127,14 @@ class LabeledDigraph:
     acyclic, the source is its one vertex of in-degree 0, and the level of
     each vertex is the length of the longest path to it from the source.
 
-    Validation makes the one meet test of the graph.  The derived edges
-    and source are not compared or hashed.
+    Validation makes the one meet test and stores nothing: labels and
+    levels are the whole graph, and to_jsonable() is the constructor's input.
     """
 
     n: int
     m: int
     labels: tuple[tuple[int, ...], ...]
     levels: tuple[int, ...]
-    edges: frozenset[tuple[int, int]] = field(init=False, compare=False)
-    source: int = field(init=False, compare=False)
 
     def __post_init__(self):
         labels = tuple(tuple(sorted(lbl)) for lbl in self.labels)
@@ -149,7 +149,6 @@ class LabeledDigraph:
         sources = [i for i, f in enumerate(levels) if f == 0]
         if len(sources) != 1:
             raise InvalidGraph(f"level-0 vertices {sources}, expected exactly one")
-        source = sources[0]
         for i, lbl in enumerate(labels):
             try:
                 rec = coprime_from_skeleton(self.n, self.m, lbl)
@@ -158,34 +157,27 @@ class LabeledDigraph:
             low = rec.min_element()
             if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
-            if i == source and low != 0:
+            if levels[i] == 0 and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
-        edges = []
-        grounded = [False] * d  # meets a vertex one level below
-        grounded[source] = True
+        grounded = [f == 0 for f in levels]  # the source, or meets a vertex one level below
         for i, j in meeting_pairs([set(lbl) for lbl in labels]):
             if levels[i] > levels[j]:
                 i, j = j, i
             elif levels[i] == levels[j]:
                 raise InvalidGraph(f"vertices {i},{j} meet on level {levels[i]}")
-            edges.append((i, j))
             if levels[j] == levels[i] + 1:
                 grounded[j] = True
         if not all(grounded):
             v = grounded.index(False)
             raise InvalidGraph(f"vertex {v} of level {levels[v]} meets no vertex "
                                f"of level {levels[v] - 1}")
-        object.__setattr__(self, "edges", frozenset(edges))
-        object.__setattr__(self, "source", source)
 
     @property
     def d(self) -> int:
         return len(self.labels)
 
     def to_jsonable(self) -> dict:
-        return {"labels": [list(lbl) for lbl in self.labels],
-                "edges": sorted([i, j] for (i, j) in self.edges),
-                "source": self.source}
+        return {"labels": [list(lbl) for lbl in self.labels], "levels": list(self.levels)}
 
 
 def build_graph(delta: InvariantSet) -> LabeledDigraph:
@@ -215,17 +207,14 @@ def build_graph(delta: InvariantSet) -> LabeledDigraph:
 def canonical_form(graph: LabeledDigraph) -> bytes:
     """Deterministic encoding invariant under label-preserving isomorphism.
 
-    Vertices are ordered by (label, level) and the reordered graph is
-    serialized once as compact JSON.  No two vertices share this key, so
-    the order is canonical: equal labels meet, and meeting vertices lie on
-    different levels.
+    The labels and levels, vertices sorted by (label, level), as compact
+    JSON.  Complete, as labels and levels determine the edges; invariant, as
+    an isomorphism keeping labels keeps the source and longest-path levels.
+    No key ties: equal labels meet, and meeting vertices differ in level.
     """
-    order = sorted(range(graph.d), key=list(zip(graph.labels, graph.levels)).__getitem__)
-    pos = {old: new for new, old in enumerate(order)}
-    payload = {"labels": [list(graph.labels[v]) for v in order],
-               "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
-               "source": pos[graph.source]}
-    return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+    pairs = sorted(zip(graph.labels, graph.levels))
+    payload = {"labels": [list(lbl) for lbl, _ in pairs], "levels": [f for _, f in pairs]}
+    return json.dumps(payload, separators=(",", ":")).encode("ascii")
 
 
 def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
@@ -238,7 +227,8 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     That makes its gluing data the input's: as 0 <= level < d, both
     (d*label + i + m_i) // d = label and (i + m_i) mod d = level, so
     build_graph would rebuild every label and level, and so the edges,
-    the label meets oriented up the levels.
+    the label meets oriented up the levels.  The values always assemble, as
+    each label is a coprime skeleton and (co)generators go class by class mod d.
     """
     d = graph.d
     order = sorted(range(d), key=graph.levels.__getitem__)
@@ -249,7 +239,7 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     try:
         delta = invset_from_skeleton(params, values)
     except InvalidSkeleton as exc:
-        raise InvalidGraph(f"labels do not assemble to a subset: {exc}") from exc
+        raise InvariantViolation(f"labels {graph.labels} do not assemble: {exc}") from exc
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
     predicted = tuple(graph.levels[v] - i for i, v in enumerate(order))

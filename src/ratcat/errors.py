@@ -42,7 +42,7 @@ class InvalidCore(DomainError):
 
 
 class Infeasible(DomainError):
-    """Shift-bound relaxation failed to stabilize (corrupted bounds)."""
+    """Shift bounds admit no shifting: some part has no finite bound chain to part 0."""
 
 
 class InvalidGraph(DomainError):

@@ -263,6 +263,7 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     is the source.  Vertices follow the rounds descending, each in path
     order, so every window a vertex meets in a later round comes before
     it: its level is 1 + the highest level so far at any of its ranks.
+    Two top-round windows would both get level 0, which the graph rejects.
     """
     n, m = path.params.n, path.params.m
     steps = path.steps
@@ -270,8 +271,6 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
         raise ValueError("cannot unglue the empty path")
     point_ranks = _point_ranks(path)
     windows = sorted(_peel(path, point_ranks), key=lambda w: (-w[0], w[2][0]))
-    if len(windows) > 1 and windows[1][0] == windows[0][0]:
-        raise InvariantViolation(f"peeling {steps!r} did not end at a single window")
     top = [-1] * (max(point_ranks) + m + 1)  # the highest level so far, by rank
     levels = []
     for _, skel, _ in windows:

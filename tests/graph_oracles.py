@@ -1,9 +1,27 @@
-"""Gluing-graph oracles shared by the tests: the edge-based levels and
-canonical order that LabeledDigraph used before it took levels as input."""
+"""Gluing-graph oracles shared by the tests: the edges and source that the
+labels and levels determine, the edge-based levels and canonical form that
+LabeledDigraph used before it took levels as input, and seeded paths past
+desk scale."""
 
 import json
+import random
 
-from ratcat import LabeledDigraph
+from ratcat import DyckPath, GridParams, LabeledDigraph
+
+
+def graph_edges(graph):
+    """Each pair of meeting labels, from the lower level to the higher."""
+    f = graph.levels
+    return frozenset((i, j) if f[i] < f[j] else (j, i)
+                     for i in range(graph.d) for j in range(i + 1, graph.d)
+                     if set(graph.labels[i]) & set(graph.labels[j]))
+
+
+def graph_source(graph):
+    """The one vertex that no edge enters."""
+    heads = {j for (_, j) in graph_edges(graph)}
+    [source] = [v for v in range(graph.d) if v not in heads]
+    return source
 
 
 def oracle_levels(d, edges):
@@ -33,20 +51,46 @@ def oracle_levels(d, edges):
 def graph_from_edges(n, m, labels, edges):
     """The graph whose edges are these: its levels are theirs by oracle_levels."""
     graph = LabeledDigraph(n, m, labels, oracle_levels(len(labels), edges))
-    assert graph.edges == frozenset(edges), (graph.edges, edges)
+    assert graph_edges(graph) == frozenset(edges), (graph_edges(graph), edges)
     return graph
 
 
 def oracle_canonical_form(graph):
-    """The canonical form with vertices ordered by (label, in-degree)."""
+    """The edge-based canonical form, with vertices ordered by (label, in-degree)."""
+    edges = graph_edges(graph)
     indeg = [0] * graph.d
-    for (_, j) in graph.edges:
+    for (_, j) in edges:
         indeg[j] += 1
     keys = list(zip(graph.labels, indeg))
     assert len(set(keys)) == graph.d, graph
     order = sorted(range(graph.d), key=keys.__getitem__)
     pos = {old: new for new, old in enumerate(order)}
     payload = {"labels": [list(graph.labels[v]) for v in order],
-               "edges": sorted([pos[i], pos[j]] for (i, j) in graph.edges),
-               "source": pos[graph.source]}
+               "edges": sorted([pos[i], pos[j]] for (i, j) in edges),
+               "source": pos[graph_source(graph)]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+
+
+def seeded_paths(params, count, seed):
+    """Dyck paths from shuffled words, each cut after its first prefix
+    maximum of m per 'v' minus n per 'h' (so that it stays below the
+    diagonal)."""
+    rng = random.Random(seed)
+    word = list("v" * params.N + "h" * params.M)
+    for _ in range(count):
+        rng.shuffle(word)
+        height = best = cut = 0
+        for z, s in enumerate(word, 1):
+            height += params.m if s == "v" else -params.n
+            if height > best:
+                best, cut = height, z
+        yield DyckPath(params, "".join(word[cut:] + word[:cut]))
+
+
+def sampled_paths():
+    """40 seeded paths of each of five grids: (5,3,6) has the benchmark's
+    widest window, (2,1,30) is long and thin."""
+    for k, params in enumerate([GridParams(3, 2, 8), GridParams(3, 2, 16),
+                                GridParams(1, 1, 40), GridParams(5, 3, 6),
+                                GridParams(2, 1, 30)]):
+        yield from seeded_paths(params, 40, seed=k)

@@ -95,7 +95,7 @@ def test_classify_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["min_gap"] == 14
-    assert payload["graph"]["source"] == 0
+    assert payload["graph"]["levels"] == [0, 1, 1, 2]
     assert len(payload["graph"]["labels"]) == 4
 
 
@@ -139,10 +139,10 @@ def test_series_and_poly(capsys):
      "residue 1  shift 1  generators [0]\n"
      "core          [1]\n"),
     (("classify", "--n", "3", "--m", "2", "--d", "4", "--path", "hvhvvhhhvhvvhhvvvvvv"),
-     'graph      {"edges":[[0,1],[0,2],[0,3],[1,3]],"labels":[[-2,0,1,2,4],'
-     '[4,6,7,8,10],[-2,-1,0,1,2],[4,5,6,7,8]],"source":0}\n'
-     'canonical  {"edges":[[1,0],[1,2],[1,3],[3,2]],"labels":[[-2,-1,0,1,2],'
-     '[-2,0,1,2,4],[4,5,6,7,8],[4,6,7,8,10]],"source":1}\n'
+     'graph      {"labels":[[-2,0,1,2,4],[4,6,7,8,10],[-2,-1,0,1,2],[4,5,6,7,8]],'
+     '"levels":[0,1,1,2]}\n'
+     'canonical  {"labels":[[-2,-1,0,1,2],[-2,0,1,2,4],[4,5,6,7,8],[4,6,7,8,10]],'
+     '"levels":[1,0,2,1]}\n'
      "min rep    [0, 2, 6, 8, 10, 16, 25, 27, 31, 33, 35, 41]\n"
      "min gap    14\n"),
     (("color", "--n", "3", "--m", "2", "--d", "2", "--path", "hvhvvhhvvv"),

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -30,7 +31,14 @@ from ratcat import (
 from ratcat.invset import InvariantSet
 from ratcat.verify import all_grid_params
 
-from graph_oracles import graph_from_edges, oracle_canonical_form, oracle_levels
+from graph_oracles import (
+    graph_edges,
+    graph_from_edges,
+    graph_source,
+    oracle_canonical_form,
+    oracle_levels,
+    sampled_paths,
+)
 
 P128 = GridParams(3, 2, 4)
 P64 = GridParams(3, 2, 2)
@@ -124,9 +132,9 @@ def test_build_graph_golden():
     assert graph.labels == ((-2, 0, 1, 2, 4), (-2, -1, 0, 1, 2),
                             (4, 5, 6, 7, 8), (4, 6, 7, 8, 10))
     assert graph.levels == (0, 1, 2, 1)
-    assert sorted(graph.edges) == [(0, 1), (0, 2), (0, 3), (3, 2)]
+    assert sorted(graph_edges(graph)) == [(0, 1), (0, 2), (0, 3), (3, 2)]
     coprime = build_graph(semigroup(GridParams(5, 3, 1)))
-    assert coprime.d == 1 and not coprime.edges
+    assert coprime.d == 1 and not graph_edges(coprime)
 
 
 def test_canonical_form_golden():
@@ -151,10 +159,11 @@ def search_form(graph):
     groups = [list(g) for _, g in
               itertools.groupby(by_label, key=lambda v: graph.labels[v])]
     best = None
+    edges, source = graph_edges(graph), graph_source(graph)
     for parts in itertools.product(*map(itertools.permutations, groups)):
         pos = {old: new for new, old in
                enumerate(v for part in parts for v in part)}
-        key = (sorted((pos[i], pos[j]) for (i, j) in graph.edges), pos[graph.source])
+        key = (sorted((pos[i], pos[j]) for (i, j) in edges), pos[source])
         if best is None or key < best:
             best = key
     return [graph.labels[v] for v in by_label], best
@@ -182,7 +191,7 @@ def relabeled(graph, perm):
     for v, lbl in enumerate(graph.labels):
         labels[perm[v]], levels[perm[v]] = lbl, graph.levels[v]
     other = LabeledDigraph(graph.n, graph.m, tuple(labels), tuple(levels))
-    assert other.edges == {(perm[i], perm[j]) for (i, j) in graph.edges}
+    assert graph_edges(other) == {(perm[i], perm[j]) for (i, j) in graph_edges(graph)}
     return other
 
 
@@ -202,7 +211,7 @@ def test_canonical_form_matches_permutation_search():
             perm = list(range(graph.d))
             rng.shuffle(perm)
             other = relabeled(graph, perm)
-            assert other.source == perm[graph.source]
+            assert graph_source(other) == perm[graph_source(graph)]
             assert canonical_form(other) == form
             relabelings += 1
     for classes in by_grid.values():
@@ -211,12 +220,30 @@ def test_canonical_form_matches_permutation_search():
     assert checked > 5000 and relabelings > 500
 
 
+def test_canonical_form_partitions_like_the_edge_form():
+    # labels and levels determine the edges, so the (label, level) form and
+    # the old edge-based one split the graphs into the same classes
+    graphs = [*oracle_graphs(), *(unglue(D)[0] for D in sampled_paths())]
+    pairs = {(canonical_form(g), oracle_canonical_form(g)) for g in graphs}
+    assert len(pairs) == len({new for new, _ in pairs}) == len({old for _, old in pairs})
+    assert len(graphs) == 2905 + 3184 + 200 and len(pairs) > 1000
+
+
+def test_to_jsonable_is_the_constructor_input():
+    for graph in oracle_graphs():
+        data = json.loads(json.dumps(graph.to_jsonable()))
+        assert set(data) == {"labels", "levels"}
+        assert LabeledDigraph(graph.n, graph.m, **data) == graph
+
+
 def test_canonical_form_nine_equal_labels():
     graph = build_graph(InvariantSet(GridParams(1, 1, 9), tuple(range(9))))
     assert graph.d == 9 and len(set(graph.labels)) == 1
     form = canonical_form(graph)
-    # the nine copies form a transitive tournament in level order
-    assert form.startswith(b'{"edges":[[0,1],[0,2],')
+    # the nine copies lie on levels 0..8 and form a transitive tournament
+    assert form == (b'{"labels":[' + b",".join([b"[-1,0]"] * 9)
+                    + b'],"levels":[0,1,2,3,4,5,6,7,8]}')
+    assert len(graph_edges(graph)) == 36
     perm = list(range(9))
     random.Random(9).shuffle(perm)
     assert canonical_form(relabeled(graph, perm)) == form
@@ -328,6 +355,21 @@ def test_invalid_graph_from_build_graph_is_an_invariant_violation(monkeypatch):
     assert isinstance(exc.value.__cause__, InvalidGraph)
 
 
+def test_labels_that_do_not_assemble_are_an_invariant_violation(monkeypatch):
+    import ratcat.equiv as equiv
+    from ratcat import InvalidSkeleton
+
+    def forged(params, values):
+        raise InvalidSkeleton("forged")
+
+    graph = left_graph()
+    monkeypatch.setattr(equiv, "invset_from_skeleton", forged)
+    with pytest.raises(InvariantViolation, match=r"^labels \(\(-2, 0, 1, 2, 4\), .*\) "
+                       r"do not assemble: forged$") as exc:
+        minimal_representative(graph)
+    assert isinstance(exc.value.__cause__, InvalidSkeleton)
+
+
 def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     import ratcat.equiv as equiv
     import ratcat.invset as invset
@@ -412,8 +454,7 @@ def check_against_oracles(delta):
                              for row in oracle_btilde(sk))
     assert minimal_shifting(bounds) == oracle_minimal_shifting(bounds)
     graph = build_graph(delta)
-    assert graph.levels == oracle_levels(graph.d, graph.edges)
-    assert canonical_form(graph) == oracle_canonical_form(graph)
+    assert graph.levels == oracle_levels(graph.d, graph_edges(graph))
     return graph
 
 
@@ -422,8 +463,7 @@ def test_levels_and_bounds_match_oracles():
     for params in all_grid_params(14):
         for path in enumerate_paths(params):
             graph = unglue(path)[0]
-            assert graph.levels == oracle_levels(graph.d, graph.edges)
-            assert canonical_form(graph) == oracle_canonical_form(graph)
+            assert graph.levels == oracle_levels(graph.d, graph_edges(graph))
             # the rebuild that minimal_representative's shifting check replaces
             rep_graph = check_against_oracles(minimal_representative(graph))
             assert canonical_form(rep_graph) == canonical_form(graph), path.steps
@@ -437,16 +477,57 @@ def test_levels_and_bounds_match_oracles():
 
 
 def test_positive_cycle_is_infeasible():
-    # a1 - a2 <= -1 and a2 - a1 <= -1 cannot both hold; 0 reaches the cycle
+    # a1 - a2 <= -1 and a2 - a1 <= -1 cannot both hold; 0 reaches the cycle.
+    # Every arc weighs -b, so a positive cycle needs a negative bound, and
+    # such a matrix is rejected when it is built.
     b = ((None, 0, None), (None, None, -1), (None, -1, None))
-    bounds = ShiftBounds(3, b)
-    with pytest.raises(Infeasible, match="failed to stabilize"):
-        minimal_shifting(bounds)
-    with pytest.raises(Infeasible):
-        oracle_minimal_shifting(bounds)
+    with pytest.raises(ValueError, match=r"^negative bound -1$"):
+        ShiftBounds(b)
+    # what stays infeasible is a part with no bound chain to part 0
+    unreachable = ShiftBounds(((None, None, None), (None, None, 0), (0, 0, None)))
+    with pytest.raises(Infeasible, match=r"^no finite bound chain from 1 to 0$"):
+        minimal_shifting(unreachable)
+    with pytest.raises(Infeasible, match=r"^no finite bound chain from 1 to 0$"):
+        oracle_minimal_shifting(unreachable)
 
 
-def test_cached_fields_do_not_change_identity():
+@pytest.mark.parametrize("b, message", [
+    (((None, -5), (None, None)), "negative bound -5"),
+    # three parts given two-entry rows (once ShiftBounds(3, <2 x 2>), an IndexError)
+    (((None, 0), (None, None), (0, None)),
+     "a bound matrix needs d >= 1 rows of d entries, not row lengths [2, 2, 2]"),
+    (((None, 0, 1), (None, None, 2)),
+     "a bound matrix needs d >= 1 rows of d entries, not row lengths [3, 3]"),
+    (((None, 0), (0,)), "a bound matrix needs d >= 1 rows of d entries, not row lengths [2, 1]"),
+    ((), "a bound matrix needs d >= 1 rows of d entries, not row lengths []"),
+])
+def test_shift_bounds_are_checked_on_construction(b, message):
+    with pytest.raises(ValueError) as exc:
+        ShiftBounds(b)
+    assert str(exc.value) == message
+
+
+def test_minimal_shifting_of_nonnegative_bounds_is_final():
+    # with bounds >= 0 the relaxation's result holds every bound and is <= 0
+    rng = random.Random(74)
+    feasible = 0
+    for _ in range(300):
+        d = rng.randint(1, 6)
+        b = tuple(tuple(None if i == j or rng.random() < 0.3 else rng.randint(0, 5)
+                        for j in range(d)) for i in range(d))
+        try:
+            v = minimal_shifting(ShiftBounds(b))
+        except Infeasible:
+            continue
+        assert v[0] == 0 and all(x <= 0 for x in v)
+        assert all(b[i][j] is None or v[i] - v[j] <= b[i][j]
+                   for i in range(d) for j in range(d) if i != j)
+        assert v == oracle_minimal_shifting(ShiftBounds(b))
+        feasible += 1
+    assert feasible > 200
+
+
+def test_equal_graphs_are_equal_values():
     graph, fresh = left_graph(), left_graph()
     assert graph == fresh and hash(graph) == hash(fresh) and repr(graph) == repr(fresh)
     assert graph.levels == (0, 1, 1, 2)
