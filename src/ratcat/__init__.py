@@ -71,7 +71,6 @@ from .glue import (
     glue_once,
     good_intervals,
     periodic_from_skeleton,
-    remove_interval,
     unglue,
     window_skeleton,
 )

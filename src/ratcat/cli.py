@@ -158,12 +158,11 @@ def cmd_classify(args) -> int:
 
 
 def cmd_color(args) -> int:
-    path = _parse(args)[1]
-    colored = unglue(path)[1]
-    return _show(args, colored.to_jsonable(), [
-        f"steps   {path.steps}",
-        f"colors  {''.join(str(c) for c in colored.colors)}",
-        *(f"color {i}  {comp.steps}" for i, comp in enumerate(colored.components)),
+    out = unglue(_parse(args)[1])[1].to_jsonable()  # derives the components once
+    return _show(args, out, [
+        f"steps   {out['steps']}",
+        f"colors  {''.join(map(str, out['colors']))}",
+        *(f"color {c['color']}  {c['steps']}" for c in out["components"]),
     ])
 
 

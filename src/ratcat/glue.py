@@ -37,14 +37,6 @@ def _point_ranks(path: DyckPath) -> list[int]:
     return step_ranks(path.params, path) + [-path.params.m]
 
 
-def _window_width(path: DyckPath, r: int) -> int:
-    """n+m, once a window of that many steps is known to start at r."""
-    width = path.params.n + path.params.m
-    if not 0 <= r <= len(path.steps) - width:
-        raise NotBalanced(f"no window of {width} steps of {path.steps!r} starts at {r}")
-    return width
-
-
 def _glued(params: GridParams, steps: str) -> DyckPath:
     """The Dyck path of a glued step string; any other outcome is a bug."""
     try:
@@ -88,10 +80,6 @@ class PeriodicPath:
         label = tuple(sorted(self.skel))
         coprime_from_skeleton(self.n, self.m, label)
         object.__setattr__(self, "skel", frozenset(label))
-
-    def window(self, r: int) -> str:
-        """The fundamental window that starts at the point of rank r."""
-        return _walk(self.n, self.m, self.skel, r)[0]
 
 
 def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
@@ -172,35 +160,38 @@ def good_intervals(path: DyckPath) -> list[int]:
 
 def window_skeleton(path: DyckPath, r: int) -> frozenset[int]:
     """Step ranks of the n+m steps starting at position r."""
-    width = _window_width(path, r)
+    width = path.params.n + path.params.m
+    if not 0 <= r <= len(path.steps) - width:
+        raise NotBalanced(f"no window of {width} steps of {path.steps!r} starts at {r}")
     return frozenset(step_ranks(path.params, path)[r:r + width])
-
-
-def remove_interval(path: DyckPath, r: int) -> DyckPath:
-    """Remove a balanced interval, translating the tail by (m, -n)."""
-    p = path.params
-    width = _window_width(path, r)
-    if path.steps.count("v", r, r + width) != p.n:
-        raise NotBalanced(f"steps [{r}, {r + width}) are not balanced")
-    return DyckPath(GridParams(p.n, p.m, p.d - 1),
-                    path.steps[:r] + path.steps[r + width:])
 
 
 @dataclass(frozen=True)
 class ColoredPath:
-    """A Dyck path with steps colored by gluing vertex.
+    """A Dyck path with steps colored by gluing vertex: colors[z] is the
+    vertex whose window holds step z.
 
     Each color class has n vertical and m horizontal steps lying on one
-    periodic path, with exactly one step per rank of its skeleton; after
-    sliding the connected runs along that periodic path by multiples of
-    (m, -n) they tile a fundamental window, and the window below its own
-    diagonal is the (n, m)-Dyck path stored in components[color]: the
-    one Dyck rotation of the steps of the class taken in path order.
+    periodic path, with exactly one step per rank of its skeleton; its
+    consecutive steps reconnect after translating by k*(-m, n), as _peel's
+    stack neighbours share ranks, so sliding its runs along that periodic
+    path tiles a fundamental window.  That window, below its own diagonal,
+    is components[color]: the one Dyck rotation of the class's steps in
+    path order.  base and colors determine the components, so only they
+    are stored, compared and hashed.
     """
 
     base: DyckPath
     colors: tuple[int, ...]
-    components: tuple[DyckPath, ...]
+
+    @property
+    def components(self) -> tuple[DyckPath, ...]:
+        """The d-tuple of (n, m)-Dyck paths, derived on each read."""
+        p = self.base.params
+        words = [[] for _ in range(p.d)]
+        for s, c in zip(self.base.steps, self.colors):
+            words[c].append(s)
+        return tuple(_component(p.n, p.m, "".join(w)) for w in words)
 
     def to_jsonable(self) -> dict:
         return {"steps": self.base.steps,
@@ -230,6 +221,14 @@ def _peel(path: DyckPath, ranks: list[int]):
        removal order removes the same windows, takes any two that meet in
        the same order, and gives each window the round 1 + the highest
        round of the earlier-removed windows it meets.
+    Stack neighbours a < b always have ranks[a+1] == ranks[b]: it holds
+    when b is pushed, and popping a window from start to end point e leaves
+    its lower neighbour p with ranks[p+1] == ranks[start] == ranks[e].  So
+    on any rank list, forged or not, a window's consecutive steps reconnect
+    (each ends at the rank where the next starts: a k*(-m, n) translate),
+    and on the path's own ranks its rank changes telescope to 0: n*#h =
+    m*#v with #h + #v = n+m and gcd(n, m) = 1 gives n 'v'.  The coloring,
+    a window per color, needs no check.
     """
     width = path.params.n + path.params.m
     held = [0] * (max(max(ranks), 0) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
@@ -264,6 +263,9 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     order, so every window a vertex meets in a later round comes before
     it: its level is 1 + the highest level so far at any of its ranks.
     Two top-round windows would both get level 0, which the graph rejects.
+    The coloring is stored as its colors alone and needs no check: _peel's
+    stack neighbours share ranks, so each class's runs reconnect and each
+    class is balanced.  The components are derived when they are read.
     """
     n, m = path.params.n, path.params.m
     steps = path.steps
@@ -272,29 +274,19 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     point_ranks = _point_ranks(path)
     windows = sorted(_peel(path, point_ranks), key=lambda w: (-w[0], w[2][0]))
     top = [-1] * (max(point_ranks) + m + 1)  # the highest level so far, by rank
-    levels = []
-    for _, skel, _ in windows:
+    levels, colors = [], [0] * len(steps)
+    for v, (_, skel, positions) in enumerate(windows):
         level = 1 + max(map(top.__getitem__, skel))
         for k in skel:
             top[k] = level
         levels.append(level)
+        for z in positions:
+            colors[z] = v
     try:
         graph = LabeledDigraph(n, m, [skel for _, skel, _ in windows], levels)
     except InvalidGraph as exc:
         raise InvariantViolation(f"ungluing {steps!r} gave an invalid graph: {exc}") from exc
-
-    colors = [0] * len(steps)
-    components = []
-    for v, (_, _, positions) in enumerate(windows):
-        word = "".join(map(steps.__getitem__, positions))
-        if len(word) != n + m or word.count("v") != n:
-            raise InvariantViolation(f"color class {v} of {steps!r} is not balanced")
-        components.append(_component(n, m, word))
-        for z in positions:
-            colors[z] = v
-    colors = tuple(colors)
-    _check_run_translations(path, colors, point_ranks)
-    return graph, ColoredPath(path, colors, tuple(components))
+    return graph, ColoredPath(path, tuple(colors))
 
 
 @lru_cache(maxsize=4096)
@@ -309,20 +301,3 @@ def _component(n: int, m: int, word: str) -> DyckPath:
         if height > best:
             best, cut = height, i
     return DyckPath(GridParams(n, m, 1), word[cut:] + word[:cut])
-
-
-def _check_run_translations(path: DyckPath, colors, ranks: list[int]) -> None:
-    """Consecutive same-color steps reconnect after translating by k*(-m, n).
-
-    ranks are the point ranks of the path.  A later point differs from an
-    earlier one by such a translation exactly when the two have the same
-    rank: equal ranks mean n*dx + m*dy = 0, x never grows along a path,
-    and gcd(n, m) = 1 makes m divide dx.
-    """
-    last_end: dict[int, int] = {}
-    for z, c in enumerate(colors):
-        if c in last_end and ranks[z] != last_end[c]:
-            raise InvariantViolation(
-                f"color {c} of {path.steps!r}: step {z} starts at rank {ranks[z]}, "
-                f"not at rank {last_end[c]} where the color's last run ended")
-        last_end[c] = ranks[z + 1]

@@ -227,17 +227,12 @@ def suite_coprime_structure(max_size=12):
 
 def _coloring_valid(path: DyckPath) -> bool:
     n, m = path.params.n, path.params.m
-    graph, colored = unglue(path)  # per-class invariants raise inside
-    for v, comp in enumerate(colored.components):
-        cls = [s for s, c in zip(path.steps, colored.colors) if c == v]
-        if len(cls) != n + m or cls.count("v") != n:
-            return False
-        # comp is a DyckPath of the (n, m) grid, so its step counts hold
-        if comp != component_oracle(n, m, graph.labels[v]):
-            return False
-    if n == m == 1:
-        return _matches_paren_matching(path.steps, colored.colors)
-    return True
+    graph, colored = unglue(path)
+    # each component is an (n, m)-Dyck path rotated from its class, so the
+    # class's step counts hold; what is left is the label's diagram path
+    if colored.components != tuple(component_oracle(n, m, label) for label in graph.labels):
+        return False
+    return n != 1 or m != 1 or _matches_paren_matching(path.steps, colored.colors)
 
 
 def suite_coloring(max_size=14):

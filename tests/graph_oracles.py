@@ -1,12 +1,13 @@
-"""Gluing-graph oracles shared by the tests: the edges and source that the
+"""Gluing oracles shared by the tests: the edges and source that the
 labels and levels determine, the edge-based levels and canonical form that
-LabeledDigraph used before it took levels as input, and seeded paths past
-desk scale."""
+LabeledDigraph used before it took levels as input, one periodic window
+and one window removal by definition, and seeded paths past desk scale."""
 
 import json
 import random
 
-from ratcat import DyckPath, GridParams, LabeledDigraph
+from ratcat import DyckPath, GridParams, LabeledDigraph, NotBalanced
+from ratcat.invset import invset_from_skeleton
 
 
 def graph_edges(graph):
@@ -69,6 +70,32 @@ def oracle_canonical_form(graph):
                "edges": sorted([pos[i], pos[j]] for (i, j) in edges),
                "source": pos[graph_source(graph)]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+
+
+def window(periodic, r):
+    """The fundamental window of a periodic path from its point of rank r,
+    walked by the generator vector of its subset: 'v' exactly at a rank
+    that is the generator of its class mod n."""
+    n, m = periodic.n, periodic.m
+    gens = invset_from_skeleton(GridParams(n, m, 1), sorted(periodic.skel)).gen
+    steps = []
+    for _ in range(n + m):
+        assert r in periodic.skel, (periodic.skel, r)
+        up = gens[r % n] == r
+        steps.append("v" if up else "h")
+        r += -m if up else n
+    return "".join(steps)
+
+
+def remove_interval(path, r):
+    """Remove the balanced window of n+m steps at r, translating the tail by (m, -n)."""
+    p = path.params
+    width = p.n + p.m
+    if not 0 <= r <= len(path.steps) - width:
+        raise NotBalanced(f"no window of {width} steps of {path.steps!r} starts at {r}")
+    if path.steps.count("v", r, r + width) != p.n:
+        raise NotBalanced(f"steps [{r}, {r + width}) are not balanced")
+    return DyckPath(GridParams(p.n, p.m, p.d - 1), path.steps[:r] + path.steps[r + width:])
 
 
 def seeded_paths(params, count, seed):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -174,15 +175,20 @@ CENSUS_GRIDS = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (2, 1, 3)
                 (3, 2, 3)]
 
 
+@functools.cache
+def desk_graphs():
+    """The unglue graph of every path with N+M <= 14, built once per run:
+    graphs are immutable values, so the tests share them."""
+    return tuple(unglue(path)[0] for params in all_grid_params(14)
+                 for path in enumerate_paths(params))
+
+
+@functools.cache
 def oracle_graphs():
-    """unglue graphs for N+M <= 14 and build_graph graphs of the census grids."""
-    for params in all_grid_params(14):
-        for path in enumerate_paths(params):
-            yield unglue(path)[0]
-    for n, m, d in CENSUS_GRIDS:
-        params = GridParams(n, m, d)
-        for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params)):
-            yield build_graph(delta)
+    """desk_graphs, then the build_graph graphs of the census grids."""
+    census = (build_graph(delta) for params in (GridParams(*g) for g in CENSUS_GRIDS)
+              for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params)))
+    return desk_graphs() + tuple(census)
 
 
 def relabeled(graph, perm):
@@ -460,14 +466,12 @@ def check_against_oracles(delta):
 
 def test_levels_and_bounds_match_oracles():
     graphs = census = 0
-    for params in all_grid_params(14):
-        for path in enumerate_paths(params):
-            graph = unglue(path)[0]
-            assert graph.levels == oracle_levels(graph.d, graph_edges(graph))
-            # the rebuild that minimal_representative's shifting check replaces
-            rep_graph = check_against_oracles(minimal_representative(graph))
-            assert canonical_form(rep_graph) == canonical_form(graph), path.steps
-            graphs += 1
+    for graph in desk_graphs():
+        assert graph.levels == oracle_levels(graph.d, graph_edges(graph))
+        # the rebuild that minimal_representative's shifting check replaces
+        rep_graph = check_against_oracles(minimal_representative(graph))
+        assert canonical_form(rep_graph) == canonical_form(graph), graph
+        graphs += 1
     for n, m, d in CENSUS_GRIDS:
         params = GridParams(n, m, d)
         for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params)):

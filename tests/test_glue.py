@@ -28,7 +28,6 @@ from ratcat import (
     map_D_coprime,
     minimal_representative,
     periodic_from_skeleton,
-    remove_interval,
     semigroup,
     step_ranks,
     unglue,
@@ -43,8 +42,10 @@ from graph_oracles import (
     graph_edges,
     graph_from_edges,
     graph_source,
+    remove_interval,
     sampled_paths,
     seeded_paths,
+    window,
 )
 
 BLUE = (-2, 0, 1, 2, 4)
@@ -61,34 +62,18 @@ def example_graph():
 
 def test_periodic_from_skeleton_golden():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    window = blue.window(-2)
-    assert window == "hhvvv"
+    steps = glue._walk(3, 2, blue.skel, -2)[0]
+    assert steps == window(blue, -2) == "hhvvv"
     # step ranks of any fundamental window reproduce the skeleton
-    assert set(step_ranks(P32, DyckPath(P32, window))) == set(BLUE)
+    assert set(step_ranks(P32, DyckPath(P32, steps))) == set(BLUE)
     with pytest.raises(NoIntersection):
-        blue.window(3)
+        glue._walk(3, 2, blue.skel, 3)
     stair = periodic_from_skeleton(1, 1, (-1, 0))
-    assert (stair.window(-1), stair.window(0)) == ("hv", "vh")
+    assert (window(stair, -1), window(stair, 0)) == ("hv", "vh")
     with pytest.raises(InvalidSkeleton):
         periodic_from_skeleton(3, 2, (0, 2, 4, 6, 8))
     with pytest.raises(InvalidSkeleton, match="^need 5 values, got 6$"):
         periodic_from_skeleton(3, 2, (-2, 0, 0, 1, 2, 4))  # a repeated value
-
-
-def _reference_window(n, m, label, r):
-    """The window walk by the generator vector of the label's subset:
-    'v' exactly at a rank that is the generator of its class mod n."""
-    gens = invset_from_skeleton(GridParams(n, m, 1), label).gen
-    steps = []
-    for _ in range(n + m):
-        assert r in label, (label, r)
-        if gens[r % n] == r:
-            steps.append("v")
-            r -= m
-        else:
-            steps.append("h")
-            r += n
-    return "".join(steps)
 
 
 def test_window_matches_generator_walk():
@@ -104,12 +89,11 @@ def test_window_matches_generator_walk():
                 label = tuple(r + shift for r in step_ranks(params, D))
                 periodic = periodic_from_skeleton(n, m, label)
                 for r in label:
-                    window = _reference_window(n, m, label, r)
+                    steps = window(periodic, r)
                     ranks = [r]
-                    for s in window[:-1]:
+                    for s in steps[:-1]:
                         ranks.append(ranks[-1] + (n if s == "h" else -m))
-                    assert glue._walk(n, m, periodic.skel, r) == (window, ranks), (label, r)
-                    assert periodic.window(r) == window
+                    assert glue._walk(n, m, periodic.skel, r) == (steps, ranks), (label, r)
                     walks += 1
     assert walks == 9136
     # a value set that is no skeleton, built by hand, is rejected at construction
@@ -150,7 +134,7 @@ def _point_set(p):
 
 def test_glue_once_figure_steps():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = DyckPath(P32, blue.window(-2))
+    d0 = DyckPath(P32, window(blue, -2))
     d1 = glue_once(d0, periodic_from_skeleton(3, 2, ORANGE))
     assert d1.steps == "hhhhvvvvvv"
     d2 = glue_once(d1, periodic_from_skeleton(3, 2, GREEN))
@@ -158,7 +142,7 @@ def test_glue_once_figure_steps():
     d3 = glue_once(d2, periodic_from_skeleton(3, 2, RED))
     assert d3.steps == "hvhvvhhhvhvvhhvvvvvv"
     assert d3.params == GridParams(3, 2, 4)
-    green0 = DyckPath(P32, periodic_from_skeleton(3, 2, GREEN).window(-2))
+    green0 = DyckPath(P32, window(periodic_from_skeleton(3, 2, GREEN), -2))
     with pytest.raises(NoIntersection):
         glue_once(green0, periodic_from_skeleton(3, 2, RED))
 
@@ -176,9 +160,9 @@ def test_glue_once_rejects_a_foreign_periodic_path():
 
 def test_self_gluing_extends_window():
     blue = periodic_from_skeleton(3, 2, BLUE)
-    d0 = DyckPath(P32, blue.window(-2))
+    d0 = DyckPath(P32, window(blue, -2))
     doubled = glue_once(d0, blue)
-    assert doubled.steps == blue.window(-2) * 2
+    assert doubled.steps == window(blue, -2) * 2
 
 
 def test_glue_all_golden():
@@ -473,37 +457,24 @@ def _runs_translate_by_coordinates(path, colors):
     return True
 
 
-def _rank_check_accepts(path, colors):
-    try:
-        glue._check_run_translations(path, colors, glue._point_ranks(path))
-    except InvariantViolation:
-        return False
-    return True
-
-
 def test_run_check_agrees_with_coordinate_oracle():
+    # unglue checks no run: _peel's stack neighbours share ranks, so every
+    # coloring it makes passes the coordinate check, and the check itself
+    # rejects each swap of two adjacent colors
     swapped = 0
     for D in _paths_up_to(14):
         if D.params.d < 2:
             continue
         colors = unglue(D)[1].colors
         assert _runs_translate_by_coordinates(D, colors), D.steps
-        assert _rank_check_accepts(D, colors), D.steps
         for z in range(len(colors) - 1):
             if colors[z] != colors[z + 1]:
                 other = colors[:z] + (colors[z + 1], colors[z]) + colors[z + 2:]
                 assert not _runs_translate_by_coordinates(D, other), (D.steps, z)
-                assert not _rank_check_accepts(D, other), (D.steps, z)
                 swapped += 1
     assert swapped == 7259
-
-
-def test_run_check_raises_on_swapped_coloring():
-    D = glue_all(example_graph())
-    colors = list(unglue(D)[1].colors)
-    colors[4], colors[5] = colors[5], colors[4]  # colors 2 and 0 meet at step 5
-    with pytest.raises(InvariantViolation, match="color 2 of"):
-        glue._check_run_translations(D, tuple(colors), glue._point_ranks(D))
+    for D in sampled_paths():
+        assert _runs_translate_by_coordinates(D, unglue(D)[1].colors), D.steps
 
 
 def _reference_glue_all(graph):
@@ -512,13 +483,13 @@ def _reference_glue_all(graph):
     n, m = graph.n, graph.m
     source, *rest = sorted(range(graph.d), key=graph.levels.__getitem__)
     cur = DyckPath(GridParams(n, m, 1),
-                   periodic_from_skeleton(n, m, graph.labels[source]).window(-m))
+                   window(periodic_from_skeleton(n, m, graph.labels[source]), -m))
     for v in rest:
         periodic = periodic_from_skeleton(n, m, graph.labels[v])
         ranks = step_ranks(cur.params, cur)
         cut = next(z for z, r in enumerate(ranks) if r in periodic.skel)
         cur = DyckPath(GridParams(n, m, cur.params.d + 1),
-                       cur.steps[:cut] + periodic.window(ranks[cut]) + cur.steps[cut:])
+                       cur.steps[:cut] + window(periodic, ranks[cut]) + cur.steps[cut:])
     return cur
 
 
@@ -576,6 +547,20 @@ def test_unglue_and_glue_all_match_references():
         # equal labels and levels give equal edges: the reference's are its peel rounds'
         assert (graph, colored.colors, colored.components) == reference, D.steps
         assert glue_all(graph).steps == _reference_glue_all(graph).steps == D.steps
+
+
+def test_unglue_derives_no_component(monkeypatch):
+    # unglue stores the colors alone; the components are derived when read
+    calls = []
+    real = glue._component
+    monkeypatch.setattr(glue, "_component", lambda *args: calls.append(args) or real(*args))
+    for D in [glue_all(example_graph()), *_paths_up_to(10),
+              *seeded_paths(GridParams(1, 1, 40), 3, seed=4)]:
+        calls.clear()
+        graph, colored = unglue(D)
+        assert calls == [], D.steps
+        assert colored.components == _reference_unglue(D)[2], D.steps
+        assert len(calls) == graph.d, D.steps
 
 
 def test_component_is_the_unique_dyck_rotation():
