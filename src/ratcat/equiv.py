@@ -217,24 +217,80 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     return json.dumps(payload, separators=(",", ":")).encode("ascii")
 
 
+def _shifting_fault(values: list[int], p: tuple[int, ...]) -> str | None:
+    """Why p is not minimal_shifting(shift_bounds(S)), S the sorted skeleton
+    values, or None when it is; one pass over the values and one search.
+
+    With s(x) = x + p[x mod d], p is that least solution exactly when
+    (a) p[0] = 0;
+    (b) s increases strictly along the values: b[i][j] is the least
+        positive y - x, minus 1, so every bound holds iff x < y implies
+        s(x) < s(y), and consecutive values suffice;
+    (c) part 0 reaches every part over the tight arcs j -> i, those with
+        p[i] = p[j] - b[j][i]: under (b), exactly the consecutive x < y of
+        parts j and i with s(y) = s(x) + 1 (no value fits between them).
+    (b) makes p a solution, so p >= the least one; along a tight path from
+    0 the bounds hold with equality, so p <= it.  Conversely the least
+    solution meets its bounds, and a longest path from 0 is tight.  A
+    same-part step has s(y) - s(x) = y - x >= d: tight only at d = 1, a loop.
+    """
+    d = len(p)
+    if p[0] != 0:
+        return f"it moves part 0 by {p[0]}"
+    arcs = [[] for _ in range(d)]
+    x = values[0]
+    i = x % d
+    sx = x + p[i]
+    for y in values[1:]:
+        j = y % d
+        sy = y + p[j]
+        if sy <= sx:
+            return f"values {x} < {y} shift to {sx} >= {sy}"
+        if sy == sx + 1:
+            arcs[i].append(j)
+        x, i, sx = y, j, sy
+    reached, todo = [True] + [False] * (d - 1), [0]
+    while todo:
+        for j in arcs[todo.pop()]:
+            if not reached[j]:
+                reached[j] = True
+                todo.append(j)
+    if not all(reached):
+        return f"part {reached.index(False)} is not reached from part 0 over tight arcs"
+    return None
+
+
 def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     """The invariant subset with skeleton parts S_i = d*label_i + i.
 
     The vertex order must make the level function weakly monotone, so
     vertices are stably sorted by level: the given order is kept within
     a level, and kept whole when it already is monotone.  The result is
-    0-normalized, and its minimal shifting must be m_i = level(order[i]) - i.
+    0-normalized, and its minimal shifting must be p_i = level(order[i]) - i.
     That makes its gluing data the input's: as 0 <= level < d, both
-    (d*label + i + m_i) // d = label and (i + m_i) mod d = level, so
+    (d*label + i + p_i) // d = label and (i + p_i) mod d = level, so
     build_graph would rebuild every label and level, and so the edges,
     the label meets oriented up the levels.  The values always assemble, as
     each label is a coprime skeleton and (co)generators go class by class mod d.
+
+    p is checked by a certificate, _shifting_fault, not solved for again.
+    With s(x) = x + p[x mod d] = d*label + level, it holds on a validated
+    graph, as levels lie in [0, d) and the parts follow the levels:
+    (a) the one level-0 vertex sorts first, so p_0 = 0;
+    (b) values x < y have labels a <= b; if a < b, s(x) < d*(a+1) <= s(y);
+        if a = b, the two vertices meet, so they differ in level, and x's,
+        in the earlier part, is the lower;
+    (c) each other vertex meets one a level below it at a label value a,
+        and their values at a give s(y) = s(x) + 1: a tight arc into its
+        part from a part one level lower, and so a tight path from part 0.
+    The check stays as the invariant against forged graph values.
     """
     d = graph.d
     order = sorted(range(d), key=graph.levels.__getitem__)
     values = []
     for i, v in enumerate(order):
         values.extend(d * x + i for x in graph.labels[v])
+    values.sort()
     params = GridParams(graph.n, graph.m, d)
     try:
         delta = invset_from_skeleton(params, values)
@@ -243,11 +299,10 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
     predicted = tuple(graph.levels[v] - i for i, v in enumerate(order))
-    shifting = minimal_shifting(shift_bounds(Skeleton(params, tuple(sorted(values)))))
-    if shifting != predicted:
-        raise InvariantViolation(
-            f"minimal shifting {shifting} of the representative of {graph.labels} "
-            f"is not {predicted}, the one its levels predict")
+    fault = _shifting_fault(values, predicted)
+    if fault:
+        raise InvariantViolation(f"the shifting {predicted} that the levels of {graph.labels} "
+                                 f"predict is not minimal: {fault}")
     return delta
 
 

@@ -49,6 +49,10 @@ class InvalidGraph(DomainError):
     """Labeled digraph violates the gluing-data membership conditions."""
 
 
+class InvalidColoring(DomainError):
+    """Colors do not give each step of a path one of its d gluing vertices."""
+
+
 class InvalidSkeleton(DomainError):
     """Value set is not the skeleton of any invariant subset."""
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 from .errors import (
     DomainError,
+    InvalidColoring,
     InvalidGraph,
     InvariantViolation,
     NoIntersection,
@@ -179,6 +180,12 @@ class ColoredPath:
     is components[color]: the one Dyck rotation of the class's steps in
     path order.  base and colors determine the components, so only they
     are stored, compared and hashed.
+
+    A hand-built value is checked when its components are read, so unglue
+    pays nothing: a color per step, each in [0, d), or InvalidColoring,
+    and each class a rotation of an (n, m)-Dyck path, or the DomainError of
+    that path.  A coloring with such classes that is not the path's own,
+    such as (0, 1, 1, 0) on the (1, 1, 2) path hvhv, is accepted.
     """
 
     base: DyckPath
@@ -187,9 +194,14 @@ class ColoredPath:
     @property
     def components(self) -> tuple[DyckPath, ...]:
         """The d-tuple of (n, m)-Dyck paths, derived on each read."""
-        p = self.base.params
+        p, steps = self.base.params, self.base.steps
+        if len(self.colors) != len(steps):
+            raise InvalidColoring(f"{len(self.colors)} colors for {len(steps)} steps")
+        stray = set(self.colors).difference(range(p.d))
+        if stray:
+            raise InvalidColoring(f"color {min(stray)} is not one of the {p.d} vertices")
         words = [[] for _ in range(p.d)]
-        for s, c in zip(self.base.steps, self.colors):
+        for s, c in zip(steps, self.colors):
             words[c].append(s)
         return tuple(_component(p.n, p.m, "".join(w)) for w in words)
 

@@ -23,6 +23,7 @@ from ratcat import (
     min_gap_in_class,
     minimal_representative,
     minimal_shifting,
+    parse_path,
     semigroup,
     shift_bounds,
     skeleton,
@@ -284,13 +285,66 @@ def test_minimal_representative_recovers_shift():
             assert all(v % d == f[i] for v in shifted)
 
 
-def test_minimal_representative_checks_its_shifting(monkeypatch):
+def test_minimal_representative_solves_no_shifting(monkeypatch):
     import ratcat.equiv as equiv
-    # left_graph's levels are (0, 1, 1, 2), so the predicted shifting is (0, 0, -1, -1)
-    monkeypatch.setattr(equiv, "minimal_shifting", lambda bounds: (0, 0, -1, -2))
-    with pytest.raises(InvariantViolation, match=r"^minimal shifting \(0, 0, -1, -2\) .* "
-                       r"is not \(0, 0, -1, -1\), the one its levels predict$"):
-        minimal_representative(left_graph())
+    calls = {"minimal_shifting": 0, "shift_bounds": 0}
+
+    def counted(name):
+        real = getattr(equiv, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(equiv, name, wrapper)
+
+    counted("minimal_shifting")
+    counted("shift_bounds")
+    graphs = [left_graph(), right_graph(), build_graph(worked_delta())]
+    assert calls == {"minimal_shifting": 1, "shift_bounds": 1}  # build_graph solves
+    for graph in graphs:
+        minimal_representative(graph)
+    assert calls == {"minimal_shifting": 1, "shift_bounds": 1}
+
+
+LEFT_LABELS = r"\(\(-2, 0, 1, 2, 4\), \(4, 6, 7, 8, 10\), \(-2, -1, 0, 1, 2\), \(4, 5, 6, 7, 8\)\)"
+
+
+@pytest.mark.parametrize("graph, levels, message", [
+    # left_graph's levels are (0, 1, 1, 2): its shifting is (0, 0, -1, -1)
+    (left_graph, (1, 2, 2, 3), rf"^the shifting \(1, 1, 0, 0\) that the levels of {LEFT_LABELS} "
+                               r"predict is not minimal: it moves part 0 by 1$"),
+    (left_graph, (0, 1, 1, 1), rf"^the shifting \(0, 0, -1, -2\) that the levels of {LEFT_LABELS} "
+                               r"predict is not minimal: values 17 < 19 shift to 17 >= 17$"),
+    # (0, 1) meets every bound of hhvv's representative but is not the least
+    (lambda: unglue(parse_path("hhvv", P22))[0], (0, 2),
+     r"^the shifting \(0, 1\) that the levels of \(\(-1, 0\), \(0, 1\)\) predict is not "
+     r"minimal: part 1 is not reached from part 0 over tight arcs$"),
+])
+def test_forged_levels_are_an_invariant_violation(graph, levels, message):
+    graph = graph()
+    minimal_representative(graph)
+    object.__setattr__(graph, "levels", levels)  # the stable level sort keeps the order
+    with pytest.raises(InvariantViolation, match=message):
+        minimal_representative(graph)
+
+
+def test_shifting_certificate_matches_bellman_ford():
+    import ratcat.equiv as equiv
+    graphs = oracle_graphs() + tuple(unglue(path)[0] for path in sampled_paths())
+    only_reach = 0
+    for graph in graphs:
+        sk = skeleton(minimal_representative(graph))
+        least = minimal_shifting(shift_bounds(sk))
+        values = list(sk.sorted_values)
+        assert equiv._shifting_fault(values, least) is None, graph
+        for i in range(graph.d):
+            for step in (-2, -1, 1, 2):
+                p = least[:i] + (least[i] + step,) + least[i + 1:]
+                fault = equiv._shifting_fault(values, p)
+                assert fault is not None, (graph, p)
+                only_reach += fault.startswith("part ")
+    assert len(graphs) == 2905 + 3184 + 200
+    assert only_reach == 8364  # vectors that meet every bound and are not the least
 
 
 def test_minimal_representative_does_not_rebuild_gluing_data(monkeypatch):
@@ -468,7 +522,7 @@ def test_levels_and_bounds_match_oracles():
     graphs = census = 0
     for graph in desk_graphs():
         assert graph.levels == oracle_levels(graph.d, graph_edges(graph))
-        # the rebuild that minimal_representative's shifting check replaces
+        # the rebuild that minimal_representative's certificate replaces
         rep_graph = check_against_oracles(minimal_representative(graph))
         assert canonical_form(rep_graph) == canonical_form(graph), graph
         graphs += 1

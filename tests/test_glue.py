@@ -13,10 +13,12 @@ from ratcat import (
     DomainError,
     DyckPath,
     GridParams,
+    InvalidColoring,
     InvalidGraph,
     InvalidSkeleton,
     InvariantViolation,
     LabeledDigraph,
+    MalformedPath,
     NoIntersection,
     NotBalanced,
     area,
@@ -27,6 +29,7 @@ from ratcat import (
     good_intervals,
     map_D_coprime,
     minimal_representative,
+    parse_path,
     periodic_from_skeleton,
     semigroup,
     step_ranks,
@@ -34,7 +37,7 @@ from ratcat import (
     window_skeleton,
 )
 from ratcat import glue
-from ratcat.glue import glue_once
+from ratcat.glue import ColoredPath, glue_once
 from ratcat.invset import invset_from_skeleton
 from ratcat.verify import all_grid_params, component_oracle
 
@@ -561,6 +564,24 @@ def test_unglue_derives_no_component(monkeypatch):
         assert calls == [], D.steps
         assert colored.components == _reference_unglue(D)[2], D.steps
         assert len(calls) == graph.d, D.steps
+
+
+@pytest.mark.parametrize("colors, error, message", [
+    ((0, 2, 2, 0), InvalidColoring, r"^color 2 is not one of the 2 vertices$"),
+    ((-1, 0, 0, 1), InvalidColoring, r"^color -1 is not one of the 2 vertices$"),
+    ((0, 0, 1), InvalidColoring, r"^3 colors for 4 steps$"),
+    ((0, 0, 0, 1), MalformedPath, r"^expected 2 steps, got 3$"),
+])
+def test_hand_built_coloring_is_checked_when_read(colors, error, message):
+    colored = ColoredPath(parse_path("hvhv", GridParams(1, 1, 2)), colors)
+    with pytest.raises(error, match=message):
+        colored.components
+
+
+def test_balanced_foreign_coloring_is_accepted():
+    D = parse_path("hvhv", GridParams(1, 1, 2))
+    assert unglue(D)[1].colors == (1, 1, 0, 0)
+    assert [c.steps for c in ColoredPath(D, (0, 1, 1, 0)).components] == ["hv", "hv"]
 
 
 def test_component_is_the_unique_dyck_rotation():
