@@ -113,18 +113,6 @@ class DyckPath:
                 rows.append(x)
         return rows
 
-    def column_heights(self) -> list[int]:
-        """Height of the unique horizontal step crossing each column."""
-        cols = [0] * self.params.M
-        x, y = self.params.M, 0
-        for s in self.steps:
-            if s == "h":
-                x -= 1
-                cols[x] = y
-            else:
-                y += 1
-        return cols
-
     def box_count(self) -> int:
         """Number of boxes of the Young diagram enclosed by the path."""
         return sum(self.row_lengths())

@@ -3,12 +3,13 @@
 The sweep map reorders the steps of a path by weakly increasing rank;
 steps of equal rank (possible only when d > 1) are emitted in reversed
 order of appearance.  dinv is the area of the swept path, and it always
-agrees with the arm/leg box count dinv'.
+agrees with the arm/leg box count dinv'.  dinv' is counted on the path
+itself, one backward rank walk over its pairs of a 'v' and a later 'h'.
 """
 
 from __future__ import annotations
 
-from .lattice import DyckPath, GridParams, area
+from .lattice import DyckPath, GridParams, _check_grid, area
 
 
 def zeta(params: GridParams, path: DyckPath) -> DyckPath:
@@ -34,23 +35,34 @@ def dinv_sweep(params: GridParams, path: DyckPath) -> int:
 
 
 def dinv_armleg(params: GridParams, path: DyckPath) -> int:
-    """dinv' as a box count over the Young diagram of the path.
+    """dinv' as the arm/leg box count, counted over step pairs by rank.
 
-    A box is counted when leg/(arm+1) < n/m <= (leg+1)/arm, where arm is
+    A box of the Young diagram is counted when
+    m*leg < n*(arm+1) and (arm == 0 or n*arm <= m*(leg+1)), where arm is
     the number of boxes strictly between the box and the vertical step in
     its row, and leg the number strictly between the box and the
-    horizontal step in its column.  All comparisons are exact
-    cross-multiplied integer comparisons; arm = 0 makes the right
-    inequality vacuously true.
+    horizontal step in its column.  Boxes are the pairs (a 'v' step, a
+    later 'h' step): the row of the one, the column of the other.
+
+    If the 'v' step leaves rank r_v and the 'h' step rank r_h, then
+    r_h - r_v = n*arm - m*(leg+1): the point the 'h' step leaves lies arm
+    columns left of and leg+1 rows above the one the 'v' step leaves.
+    So the test reads 0 <= r_v - r_h < n + m (arm == 0 satisfies
+    n*arm <= m*(leg+1) on its own), and one backward rank walk counts,
+    at each 'v' step, the later 'h' steps in that window.
     """
+    _check_grid(params, path)
     n, m = params.n, params.m
-    rows = path.row_lengths()
-    cols = path.column_heights()
+    # h steps seen so far, by rank + m + n - 1 (an 'h' leaves a rank in
+    # [-m, d*m*n - m - n]; a 'v' leaves r_v >= 0, whose window starts at r_v)
+    cnt = [0] * (params.d * m * n)
+    k = n - 1  # rank + m + n - 1 of the current point; the end point ranks -m
     total = 0
-    for y, row in enumerate(rows):
-        for x in range(row):
-            arm = row - x - 1
-            leg = cols[x] - y - 1
-            if m * leg < n * (arm + 1) and (arm == 0 or n * arm <= m * (leg + 1)):
-                total += 1
+    for s in reversed(path.steps):
+        if s == "h":
+            k -= n
+            cnt[k] += 1
+        else:
+            k += m
+            total += sum(cnt[k - n - m + 1:k + 1])
     return total

@@ -1,5 +1,9 @@
+import pytest
+from graph_oracles import seeded_paths
+
 from ratcat import (
     GridParams,
+    MalformedPath,
     dinv_armleg,
     dinv_sweep,
     enumerate_paths,
@@ -57,6 +61,55 @@ def test_dinv_armleg_empty_diagram():
     empty = parse_path("hhh" + "vvvvv", P53)
     assert empty.box_count() == 0
     assert dinv_armleg(P53, empty) == 0
+    p0 = GridParams(3, 2, 0)  # the empty path of the empty rectangle
+    assert dinv_armleg(p0, parse_path("", p0)) == 0
+
+
+def dinv_by_arm_and_leg(params, path):
+    """Oracle: the box loop over the Young diagram, testing each box's arm
+    and leg by m*leg < n*(arm+1) and (arm == 0 or n*arm <= m*(leg+1))."""
+    n, m = params.n, params.m
+    rows = path.row_lengths()
+    cols = [0] * params.M  # height of the 'h' step crossing each column
+    x, y = params.M, 0
+    for s in path.steps:
+        if s == "h":
+            x -= 1
+            cols[x] = y
+        else:
+            y += 1
+    total = 0
+    for y, row in enumerate(rows):
+        for x in range(row):
+            arm = row - x - 1
+            leg = cols[x] - y - 1
+            if m * leg < n * (arm + 1) and (arm == 0 or n * arm <= m * (leg + 1)):
+                total += 1
+    return total
+
+
+def test_dinv_armleg_matches_box_loop():
+    count = 0
+    for params in all_grid_params(16):
+        for D in enumerate_paths(params):
+            assert dinv_armleg(params, D) == dinv_by_arm_and_leg(params, D), (params, D.steps)
+            count += 1
+    assert count == 10155
+
+
+def test_dinv_armleg_matches_box_loop_past_desk_scale():
+    for k, params in enumerate([GridParams(1, 1, 40), GridParams(2, 1, 30),
+                                GridParams(3, 2, 16)]):
+        for D in seeded_paths(params, 40, seed=k):
+            assert dinv_armleg(params, D) == dinv_by_arm_and_leg(params, D), (params, D.steps)
+
+
+def test_dinv_armleg_rejects_a_path_of_another_grid():
+    D = parse_path("hvhvvhhhvhvvvvv", P96)
+    with pytest.raises(MalformedPath) as err:
+        dinv_armleg(GridParams(2, 1, 5), D)
+    assert str(err.value) == ("path 'hvhvvhhhvhvvvvv' is on the grid GridParams(n=3, m=2, d=3),"
+                              " not GridParams(n=2, m=1, d=5)")
 
 
 def test_dinv_statistics_agree():
