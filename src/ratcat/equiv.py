@@ -11,7 +11,6 @@ equality of canonical forms of these digraphs decides equivalence.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import chain
 from .errors import (
@@ -26,7 +25,6 @@ from .invset import (
     Skeleton,
     coprime_from_skeleton,
     gap,
-    invset_from_skeleton,
     skeleton,
 )
 from .lattice import GridParams
@@ -127,8 +125,9 @@ class LabeledDigraph:
     acyclic, the source is its one vertex of in-degree 0, and the level of
     each vertex is the length of the longest path to it from the source.
 
-    Validation makes the one meet test and stores nothing: labels and
-    levels are the whole graph, and to_jsonable() is the constructor's input.
+    Validation makes the one meet test (skipped by _trusted, for levels that
+    prove it) and stores nothing: labels and levels are the whole graph, and
+    to_jsonable() is the constructor's input.
     """
 
     n: int
@@ -137,10 +136,38 @@ class LabeledDigraph:
     levels: tuple[int, ...]
 
     def __post_init__(self):
-        labels = tuple(tuple(sorted(lbl)) for lbl in self.labels)
-        levels = tuple(self.levels)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "labels", tuple(tuple(sorted(lbl)) for lbl in self.labels))
+        object.__setattr__(self, "levels", tuple(self.levels))
+        self._check_vertices()
+        levels = self.levels
+        grounded = [f == 0 for f in levels]  # the source, or meets a vertex one level below
+        for i, j in meeting_pairs([set(lbl) for lbl in self.labels]):
+            if levels[i] > levels[j]:
+                i, j = j, i
+            elif levels[i] == levels[j]:
+                raise InvalidGraph(f"vertices {i},{j} meet on level {levels[i]}")
+            if levels[j] == levels[i] + 1:
+                grounded[j] = True
+        if not all(grounded):
+            v = grounded.index(False)
+            raise InvalidGraph(f"vertex {v} of level {levels[v]} meets no vertex "
+                               f"of level {levels[v] - 1}")
+
+    @classmethod
+    def _trusted(cls, n: int, m: int, labels: tuple, levels: tuple) -> LabeledDigraph:
+        """The graph of sorted labels and levels that give each vertex 1 + the
+        highest level of the earlier vertices it meets, or 0 if it meets none.
+        Those levels need no meet test: an earlier vertex that meets v has a
+        level below v's, and v > 0 meets the earlier one that set its level.
+        Every other check runs."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(n=n, m=m, labels=labels, levels=levels)
+        graph._check_vertices()
+        return graph
+
+    def _check_vertices(self):
+        """One source; every label a skeleton, normalized as the class says."""
+        labels, levels = self.labels, self.levels
         d = len(labels)
         if d < 1:
             raise InvalidGraph("need at least one vertex")
@@ -159,18 +186,6 @@ class LabeledDigraph:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
             if levels[i] == 0 and low != 0:
                 raise InvalidGraph("source label must be 0-normalized")
-        grounded = [f == 0 for f in levels]  # the source, or meets a vertex one level below
-        for i, j in meeting_pairs([set(lbl) for lbl in labels]):
-            if levels[i] > levels[j]:
-                i, j = j, i
-            elif levels[i] == levels[j]:
-                raise InvalidGraph(f"vertices {i},{j} meet on level {levels[i]}")
-            if levels[j] == levels[i] + 1:
-                grounded[j] = True
-        if not all(grounded):
-            v = grounded.index(False)
-            raise InvalidGraph(f"vertex {v} of level {levels[v]} meets no vertex "
-                               f"of level {levels[v] - 1}")
 
     @property
     def d(self) -> int:
@@ -211,10 +226,12 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     JSON.  Complete, as labels and levels determine the edges; invariant, as
     an isomorphism keeping labels keeps the source and longest-path levels.
     No key ties: equal labels meet, and meeting vertices differ in level.
+    Written directly, as the bytes of json.dumps with separators (",", ":").
     """
     pairs = sorted(zip(graph.labels, graph.levels))
-    payload = {"labels": [list(lbl) for lbl, _ in pairs], "levels": [f for _, f in pairs]}
-    return json.dumps(payload, separators=(",", ":")).encode("ascii")
+    labels = "],[".join(",".join(map(str, lbl)) for lbl, _ in pairs)
+    levels = ",".join(str(f) for _, f in pairs)
+    return f'{{"labels":[[{labels}]],"levels":[{levels}]}}'.encode("ascii")
 
 
 def _shifting_fault(values: list[int], p: tuple[int, ...]) -> str | None:
@@ -271,7 +288,9 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     (d*label + i + p_i) // d = label and (i + p_i) mod d = level, so
     build_graph would rebuild every label and level, and so the edges,
     the label meets oriented up the levels.  The values always assemble, as
-    each label is a coprime skeleton and (co)generators go class by class mod d.
+    each label is a coprime skeleton and (co)generators go class by class mod d,
+    so the last value in each class mod N is its generator, taken as it is and
+    not reassembled; InvariantSet still checks its classes and M-invariance.
 
     p is checked by a certificate, _shifting_fault, not solved for again.
     With s(x) = x + p[x mod d] = d*label + level, it holds on a validated
@@ -292,9 +311,12 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         values.extend(d * x + i for x in graph.labels[v])
     values.sort()
     params = GridParams(graph.n, graph.m, d)
+    gen = [None] * params.N
+    for x in values:  # increasing, so each class keeps its last value
+        gen[x % params.N] = x
     try:
-        delta = invset_from_skeleton(params, values)
-    except InvalidSkeleton as exc:
+        delta = InvariantSet(params, gen)
+    except ValueError as exc:
         raise InvariantViolation(f"labels {graph.labels} do not assemble: {exc}") from exc
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")

@@ -240,18 +240,21 @@ def _peel(path: DyckPath, ranks: list[int]):
     (each ends at the rank where the next starts: a k*(-m, n) translate),
     and on the path's own ranks its rank changes telescope to 0: n*#h =
     m*#v with #h + #v = n+m and gcd(n, m) = 1 gives n 'v'.  The coloring,
-    a window per color, needs no check.
+    a window per color, needs no check.  A rank stack beside the stack of
+    positions slices out each window's ranks, yielded sorted as its label.
     """
     width = path.params.n + path.params.m
     held = [0] * (max(max(ranks), 0) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
     top = held.copy()  # the highest round removed so far, by rank
     stack: list[int] = []
+    stack_ranks: list[int] = []  # ranks[z] for each z on the stack
     for z, r in enumerate(ranks):
         stack.append(z)
+        stack_ranks.append(r)
         held[r] += 1
-        while len(stack) > width and ranks[stack[-width - 1]] == r:
+        while len(stack) > width and stack_ranks[-width - 1] == r:
             window = stack[-width - 1:-1]
-            window_ranks = [ranks[p] for p in window]
+            window_ranks = stack_ranks[-width - 1:-1]
             if sum(map(held.__getitem__, window_ranks)) != width + 1:
                 shared = next(k for k in window_ranks if held[k] > 1 + (k == r))
                 raise InvariantViolation(f"balanced window at steps {window} of {path.steps!r}"
@@ -261,7 +264,8 @@ def _peel(path: DyckPath, ranks: list[int]):
                 held[k] -= 1
                 top[k] = level
             del stack[-width - 1:-1]
-            yield level, frozenset(window_ranks), window
+            del stack_ranks[-width - 1:-1]
+            yield level, tuple(sorted(window_ranks)), window
     if len(stack) != 1:
         raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
 
@@ -274,7 +278,9 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     is the source.  Vertices follow the rounds descending, each in path
     order, so every window a vertex meets in a later round comes before
     it: its level is 1 + the highest level so far at any of its ranks.
-    Two top-round windows would both get level 0, which the graph rejects.
+    Those levels prove the meet test, so LabeledDigraph._trusted skips it;
+    the labels are still checked, and so is the one source: two top-round
+    windows would both get level 0, which the graph rejects.
     The coloring is stored as its colors alone and needs no check: _peel's
     stack neighbours share ranks, so each class's runs reconnect and each
     class is balanced.  The components are derived when they are read.
@@ -284,18 +290,19 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     if not steps:
         raise ValueError("cannot unglue the empty path")
     point_ranks = _point_ranks(path)
-    windows = sorted(_peel(path, point_ranks), key=lambda w: (-w[0], w[2][0]))
+    windows = sorted([(-round_, positions[0], label, positions)
+                      for round_, label, positions in _peel(path, point_ranks)])
     top = [-1] * (max(point_ranks) + m + 1)  # the highest level so far, by rank
     levels, colors = [], [0] * len(steps)
-    for v, (_, skel, positions) in enumerate(windows):
-        level = 1 + max(map(top.__getitem__, skel))
-        for k in skel:
+    for v, (_, _, label, positions) in enumerate(windows):
+        level = 1 + max(map(top.__getitem__, label))
+        for k in label:
             top[k] = level
         levels.append(level)
         for z in positions:
             colors[z] = v
     try:
-        graph = LabeledDigraph(n, m, [skel for _, skel, _ in windows], levels)
+        graph = LabeledDigraph._trusted(n, m, tuple(w[2] for w in windows), tuple(levels))
     except InvalidGraph as exc:
         raise InvariantViolation(f"ungluing {steps!r} gave an invalid graph: {exc}") from exc
     return graph, ColoredPath(path, tuple(colors))

@@ -43,7 +43,7 @@ class InvariantSet:
         if len(gen) != N:
             raise ValueError(f"need {N} generators, got {len(gen)}")
         for c, g in enumerate(gen):
-            if g % N != c:
+            if g is None or g % N != c:
                 raise ValueError(f"generator {g} not congruent to {c} mod {N}")
         for c, g in enumerate(gen):
             if gen[(c + M) % N] > g + M:

@@ -1,7 +1,8 @@
 """Gluing oracles shared by the tests: the edges and source that the
 labels and levels determine, the edge-based levels and canonical form that
-LabeledDigraph used before it took levels as input, one periodic window
-and one window removal by definition, and seeded paths past desk scale."""
+LabeledDigraph used before it took levels as input, the canonical form as
+json.dumps writes it, one periodic window and one window removal by
+definition, and seeded paths past desk scale."""
 
 import json
 import random
@@ -70,6 +71,13 @@ def oracle_canonical_form(graph):
                "edges": sorted([pos[i], pos[j]] for (i, j) in edges),
                "source": pos[graph_source(graph)]}
     return json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("ascii")
+
+
+def json_canonical_form(graph):
+    """canonical_form as json.dumps writes it: (label, level)-sorted vertices."""
+    pairs = sorted(zip(graph.labels, graph.levels))
+    payload = {"labels": [list(lbl) for lbl, _ in pairs], "levels": [f for _, f in pairs]}
+    return json.dumps(payload, separators=(",", ":")).encode("ascii")
 
 
 def window(periodic, r):

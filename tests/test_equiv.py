@@ -415,38 +415,63 @@ def test_invalid_graph_from_build_graph_is_an_invariant_violation(monkeypatch):
     assert isinstance(exc.value.__cause__, InvalidGraph)
 
 
-def test_labels_that_do_not_assemble_are_an_invariant_violation(monkeypatch):
+def test_labels_that_do_not_assemble_are_an_invariant_violation():
+    for label, message in [
+        # every value of part 0 is 0 mod 3, so classes 4 and 8 mod 12 stay empty
+        ((0, 3, 6, 9, 12), "generator None not congruent to 4 mod 12"),
+        # part 0's last values 3, 40, 2 by class mod 3 give generators 12, 160, 8
+        ((0, 1, 2, 3, 40), "generator vector is not M-invariant"),
+    ]:
+        graph = left_graph()
+        object.__setattr__(graph, "labels", (label,) + graph.labels[1:])
+        with pytest.raises(InvariantViolation) as exc:
+            minimal_representative(graph)
+        assert str(exc.value) == f"labels {graph.labels} do not assemble: {message}"
+        assert isinstance(exc.value.__cause__, ValueError)
+
+
+def test_minimal_representative_assembles_no_skeleton(monkeypatch):
+    # the assembled values are a skeleton by construction: no reassembly
     import ratcat.equiv as equiv
-    from ratcat import InvalidSkeleton
+    import ratcat.invset as invset
+    calls = []
+    real = invset.invset_from_skeleton
 
-    def forged(params, values):
-        raise InvalidSkeleton("forged")
-
-    graph = left_graph()
-    monkeypatch.setattr(equiv, "invset_from_skeleton", forged)
-    with pytest.raises(InvariantViolation, match=r"^labels \(\(-2, 0, 1, 2, 4\), .*\) "
-                       r"do not assemble: forged$") as exc:
+    def counted(params, values):
+        calls.append(1)
+        return real(params, values)
+    monkeypatch.setattr(invset, "invset_from_skeleton", counted)
+    monkeypatch.setattr(equiv, "invset_from_skeleton", counted, raising=False)
+    graphs = [left_graph(), right_graph(), build_graph(worked_delta())]
+    calls.clear()
+    for graph in graphs:
         minimal_representative(graph)
-    assert isinstance(exc.value.__cause__, InvalidSkeleton)
+    assert calls == []
+    # the counter sees the reassembly the label check makes on a fresh label
+    invset.coprime_from_skeleton.cache_clear()
+    LabeledDigraph(graphs[0].n, graphs[0].m, graphs[0].labels, graphs[0].levels)
+    assert calls
 
 
 def test_internal_errors_are_not_turned_into_domain_errors(monkeypatch):
     import ratcat.equiv as equiv
     import ratcat.invset as invset
+    from ratcat import glue_all, unglue
 
-    def broken(params, values):
-        raise ZeroDivisionError("bug inside the skeleton reconstruction")
+    def broken(*args):
+        raise ZeroDivisionError("bug inside a check")
 
     graph = left_graph()
+    D = glue_all(graph)
     # the label check reaches invset_from_skeleton through the memo
     invset.coprime_from_skeleton.cache_clear()
     monkeypatch.setattr(invset, "invset_from_skeleton", broken)
-    monkeypatch.setattr(equiv, "invset_from_skeleton", broken)
     with pytest.raises(ZeroDivisionError):
         LabeledDigraph(graph.n, graph.m, graph.labels, graph.levels)
-    # errors are not cached: the same labels raise again
+    # errors are not cached: the same labels raise again, here through unglue
     with pytest.raises(ZeroDivisionError):
-        LabeledDigraph(graph.n, graph.m, graph.labels, graph.levels)
+        unglue(D)
+    monkeypatch.setattr(equiv, "_shifting_fault", broken)
     with pytest.raises(ZeroDivisionError):
         minimal_representative(graph)
 

@@ -45,6 +45,7 @@ from graph_oracles import (
     graph_edges,
     graph_from_edges,
     graph_source,
+    json_canonical_form,
     remove_interval,
     sampled_paths,
     seeded_paths,
@@ -610,7 +611,8 @@ def test_peel_removes_only_good_windows():
             goods = _reference_good_positions(_reference_point_ranks(current), n + m)
             assert r in goods, (D.steps, positions)
             assert positions == left[r:r + n + m], (D.steps, positions)
-            assert skel == window_skeleton(current, r), (D.steps, positions)
+            assert set(skel) == window_skeleton(current, r), (D.steps, positions)
+            assert list(skel) == sorted(skel), (D.steps, skel)
             del left[r:r + n + m]
         assert not left, D.steps
 
@@ -645,13 +647,16 @@ def test_two_top_round_windows_are_an_invariant_violation(monkeypatch):
 
 
 def test_invalid_graph_from_unglue_is_an_invariant_violation(monkeypatch):
-    import ratcat.equiv as equiv
-    D = glue_all(example_graph())
-    monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: [])  # no edges
-    with pytest.raises(InvariantViolation, match=f"^ungluing {D.steps!r} gave an invalid graph: "
-                       "vertex 1 of level 1 meets no vertex of level 0$") as exc:
-        unglue(D)
-    assert isinstance(exc.value.__cause__, InvalidGraph)
+    # unglue's graph skips the meet test, which its levels prove, but not the label check
+    D = DyckPath(GridParams(1, 1, 2), "hhvv")
+    for label, message in [((0, 2), "label 1 is not a skeleton: [0, 2] is not a skeleton"),
+                           ((-3, -2), "label 1 not non-negatively normalized")]:
+        monkeypatch.setattr(glue, "_peel", lambda path, ranks, label=label: iter(
+            [(2, (-1, 0), [0, 3]), (1, label, [1, 2])]))
+        with pytest.raises(InvariantViolation) as exc:
+            unglue(D)
+        assert str(exc.value) == f"ungluing 'hhvv' gave an invalid graph: {message}"
+        assert isinstance(exc.value.__cause__, InvalidGraph)
 
 
 def test_glue_all_checks_no_label_again(monkeypatch):
@@ -680,12 +685,34 @@ def test_glue_all_miss_is_an_invariant_violation():
     assert isinstance(exc.value.__cause__, NoIntersection)
 
 
-def test_unglue_runs_the_meet_test_once(monkeypatch):
+def test_unglue_makes_no_meet_test(monkeypatch):
+    # unglue's levels prove what the meet test checks, so its graph skips it
     import ratcat.equiv as equiv
+    paths = [glue_all(example_graph()), *seeded_paths(GridParams(1, 1, 40), 3, seed=2)]
     calls = []
     real = equiv.meeting_pairs
     monkeypatch.setattr(equiv, "meeting_pairs", lambda sets: calls.append(1) or real(sets))
-    for D in [glue_all(example_graph()), *seeded_paths(GridParams(1, 1, 40), 3, seed=2)]:
-        calls.clear()
-        unglue(D)
-        assert len(calls) == 1, D.steps
+    graphs = [unglue(D)[0] for D in paths]
+    assert calls == []
+    # the counter sees the public constructor's one meet test
+    for graph in graphs:
+        LabeledDigraph(graph.n, graph.m, **graph.to_jsonable())
+    assert len(calls) == len(graphs)
+
+
+def test_trusted_values_match_the_full_checks():
+    # what unglue, minimal_representative and canonical_form no longer
+    # re-derive: the public constructor, the skeleton reassembly and
+    # json.dumps agree with them
+    paths = [*_paths_up_to(14), *seeded_paths(GridParams(1, 1, 40), 40, seed=21),
+             *seeded_paths(GridParams(3, 2, 16), 40, seed=22)]
+    for D in paths:
+        graph = unglue(D)[0]
+        n, m, d = graph.n, graph.m, graph.d
+        assert LabeledDigraph(n, m, **graph.to_jsonable()) == graph, D.steps
+        order = sorted(range(d), key=graph.levels.__getitem__)
+        values = [d * x + i for i, v in enumerate(order) for x in graph.labels[v]]
+        assert invset_from_skeleton(GridParams(n, m, d), values) == \
+            minimal_representative(graph), D.steps
+        assert canonical_form(graph) == json_canonical_form(graph), D.steps
+    assert len(paths) == 2905 + 80
