@@ -236,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     invset_sub = invset.add_subparsers(dest="subcommand", required=True)
     _command(invset_sub, "info", cmd_invset_info,
              "skeleton, gap, G image, decomposition, core", *_grid(),
-             ("--generators", dict(required=True,
-                                   help="comma-separated integers generating the subset")))
+             ("--generators", dict(required=True, help="comma-separated integers generating "
+                                   "the subset, attached if negative: --generators=-5,0")))
 
     _command(sub, "classify", cmd_classify,
              "gluing digraph and minimal representative of a path", *_grid(), path)

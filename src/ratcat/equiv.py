@@ -83,6 +83,9 @@ def minimal_shifting(bounds: ShiftBounds) -> tuple[int, ...]:
     No cycle is positive, so a longest walk has at most d-1 arcs and round
     d changes nothing.  Every value is <= 0, and a round with no change
     meets every bound: for i >= 1 by the relaxation, for i = 0 as v[j] <= 0 <= b[j][0].
+    So m is the least point with m[0] = 0 of {a : a_i - a_j <= b[i][j]}, or
+    Infeasible if none is (a = 0 is in it; parts 0 does not reach move down
+    together): a bound matrix with the same feasible set gives the same m.
     """
     d, b = bounds.d, bounds.b
     v: list[int | None] = [None] * d
@@ -195,28 +198,51 @@ class LabeledDigraph:
         return {"labels": [list(lbl) for lbl in self.labels], "levels": list(self.levels)}
 
 
-def build_graph(delta: InvariantSet) -> LabeledDigraph:
-    """The gluing data of an invariant subset (the map into T^d_{n,m}).
+def gluing_data(params: GridParams, values) -> tuple[tuple, tuple[int, ...]]:
+    """The labels and levels of the skeleton with the given sorted values:
+    label i is part i shifted by a_i and divided by d, level i is i + a_i mod d.
 
-    Applies the minimal shift to the skeleton parts, records the level
-    f(i) as the common residue mod d of the shifted part, and divides by
-    d to obtain the coprime labels.  The graph's validation orients the
-    meeting labels up the levels and checks that f is its longest-path
-    levels.
+    a is minimal_shifting of the bounds between consecutive values of different
+    parts, one pass where shift_bounds compares each value with the next one of
+    every part.  Both matrices give the same a, or Infeasible, having one feasible
+    set: with s(x) = x + a[x mod d], a_i - a_j <= y - x - 1 says s(x) < s(y), so
+    each is where s increases strictly along the values (as on same-part steps).
     """
+    d = params.d
+    parts, b = [[] for _ in range(d)], [[None] * d for _ in range(d)]
+    x, i = values[0], values[0] % d
+    for y in values:
+        j = y % d
+        parts[j].append(y)
+        if j != i:
+            row = b[i]
+            if row[j] is None or y - x <= row[j]:
+                row[j] = y - x - 1
+            i = j
+        x = y
+    a = minimal_shifting(ShiftBounds(tuple(map(tuple, b))))
+    return (tuple([tuple([(x + ai) // d for x in part]) for part, ai in zip(parts, a)]),
+            tuple([(i + ai) % d for i, ai in enumerate(a)]))
+
+
+def checked_graph(delta: InvariantSet, labels, levels) -> LabeledDigraph:
+    """delta's gluing graph, fully validated; a fault names delta and the data."""
     p = delta.params
+    try:
+        return LabeledDigraph(p.n, p.m, labels, levels)
+    except InvalidGraph as exc:
+        raise InvariantViolation(f"gluing data of {delta.gen} (labels {labels}, levels "
+                                 f"{levels}) is invalid: {exc}") from exc
+
+
+def build_graph(delta: InvariantSet) -> LabeledDigraph:
+    """The gluing data of an invariant subset (the map into T^d_{n,m}): the
+    gluing_data of its skeleton, whose graph's validation orients the meeting
+    labels up the levels and checks that they are its longest-path levels.
+    """
     if not delta.normalized:
         raise NotNormalized("gluing data requires a 0-normalized subset")
-    d = p.d
-    sk = skeleton(delta)
-    parts = sk.parts_mod_d()
-    mvec = minimal_shifting(shift_bounds(sk))
-    f = tuple((i + mvec[i]) % d for i in range(d))
-    labels = tuple(tuple((x + mvec[i]) // d for x in parts[i]) for i in range(d))
-    try:
-        return LabeledDigraph(p.n, p.m, labels, f)
-    except InvalidGraph as exc:
-        raise InvariantViolation(f"gluing data of {delta.gen} is invalid: {exc}") from exc
+    return checked_graph(delta, *gluing_data(delta.params, skeleton(delta).sorted_values))
 
 
 def canonical_form(graph: LabeledDigraph) -> bytes:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, gcd
 
-from .equiv import build_graph, canonical_form
+from .equiv import canonical_form, checked_graph, gluing_data
 from .errors import FormulaMismatch
-from .invset import InvariantSet, dinv_invset, gap, invset_from_path_coprime
+from .invset import InvariantSet, dinv_invset, gap, invset_from_path_coprime, skeleton
 from .lattice import GridParams, area, enumerate_paths, subdiagonal_box_count
 from .sweep import dinv_sweep
 
@@ -121,6 +121,34 @@ def qt_catalan(params: GridParams) -> QTPoly:
     return out
 
 
+def _decompositions(params: GridParams, budget: int):
+    """The 0-normalized coprime components, one per (n, m)-Dyck path, and each
+    subset with gap <= budget with its (component index, shift) per class r:
+    the union of d*(component + shift) + r, class 0 unshifted.  Depth-first,
+    children pushed in reverse to pop in lexicographic order; a stack, as the
+    depth is d."""
+    d, N = params.d, params.N
+    base = [invset_from_path_coprime(path)
+            for path in enumerate_paths(GridParams(params.n, params.m, 1))]
+    gaps = list(map(gap, base))
+    out, stack = [], [(0, budget, ())]
+    while stack:
+        r, left, chosen = stack.pop()
+        if r == d:
+            gen = [None] * N
+            for c, (k, shift) in enumerate(chosen):
+                for g in base[k].gen:
+                    val = d * (g + shift) + c
+                    gen[val % N] = val
+            out.append((chosen, InvariantSet(params, tuple(gen))))
+            continue
+        stack.extend(reversed([
+            (r + 1, left - g - shift, chosen + ((k, shift),))
+            for k, g in enumerate(gaps) if g <= left
+            for shift in ((0,) if r == 0 else range(left - g + 1))]))
+    return base, out
+
+
 def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantSet]:
     """All 0-normalized invariant subsets with gap <= budget, each once.
 
@@ -129,36 +157,7 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
     0-normalized coprime subset plus a non-negative shift, and gap is
     the sum of shifts and component gaps.
     """
-    if budget < 0:
-        return []
-    p = params
-    coprime = GridParams(p.n, p.m, 1)
-    base = [invset_from_path_coprime(path) for path in enumerate_paths(coprime)]
-    base_gaps = [gap(s) for s in base]
-    out = []
-
-    def assemble(chosen) -> InvariantSet:
-        gen = [None] * p.N
-        for r, (part, shift) in enumerate(chosen):
-            for g in part.gen:
-                val = p.d * (g + shift) + r
-                gen[val % p.N] = val
-        return InvariantSet(p, tuple(gen))
-
-    # depth-first over (class r, budget left, chosen components), children
-    # pushed in reverse so they pop in order; an explicit stack, since the
-    # depth is d
-    stack = [(0, budget, ())]
-    while stack:
-        r, left, chosen = stack.pop()
-        if r == p.d:
-            out.append(assemble(chosen))
-            continue
-        stack.extend(reversed([
-            (r + 1, left - g - shift, chosen + ((part, shift),))
-            for part, g in zip(base, base_gaps) if g <= left
-            for shift in ((0,) if r == 0 else range(left - g + 1))]))
-    return out
+    return [delta for _, delta in _decompositions(params, budget)[1]]
 
 
 def C_series(params: GridParams, q_cutoff: int) -> QTSeries:
@@ -231,7 +230,20 @@ def count_equivalence_classes(params: GridParams) -> int:
     One enumeration at gap budget subdiagonal_box_count(params) meets
     every class: the least gap in a class equals the area of the class's
     glued Dyck path, and no area exceeds the sub-diagonal box count.
+    Every subset is assembled as a validated InvariantSet, while its
+    skeleton part r is read off as d*(skeleton(component) + shift) + r, with
+    the component skeletons computed once.  Each distinct (labels, levels) is
+    validated as a LabeledDigraph and encoded once: a repeat's check is a
+    pure function of the same data.
     """
-    budget = subdiagonal_box_count(params)
-    return len({canonical_form(build_graph(delta))
-                for delta in enumerate_invsets_by_gap(params, budget)})
+    d = params.d
+    base, subsets = _decompositions(params, subdiagonal_box_count(params))
+    skels = [[d * x for x in skeleton(s).sorted_values] for s in base]
+    seen, forms = set(), set()
+    for chosen, delta in subsets:
+        data = gluing_data(params, sorted([x + d * shift + r for r, (k, shift)
+                                           in enumerate(chosen) for x in skels[k]]))
+        if data not in seen:
+            seen.add(data)
+            forms.add(canonical_form(checked_graph(delta, *data)))
+    return len(forms)

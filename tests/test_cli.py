@@ -70,6 +70,20 @@ def test_invset_info_json(capsys):
     assert [e["value"] for e in payload["skeleton"]] == [-3, 0, 2, 3, 4, 6, 7, 9]
 
 
+def test_invset_info_negative_first_generator(capsys):
+    # argparse reads a separate value that starts with "-" as a flag, so the
+    # help names the attached form, which takes any integers
+    with pytest.raises(SystemExit):
+        cli.main(["invset", "info", "--help"])
+    assert "--generators=-5,0" in " ".join(capsys.readouterr().out.split())
+    code, out, _ = run(capsys, "invset", "info", "--n", "1", "--m", "1", "--d", "2",
+                       "--generators=-5,0", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["generators"] == [-5, 0]
+    assert [c["shift"] for c in payload["decomposition"]] == [0, -3]
+
+
 G, C = "generator", "cogenerator"
 
 

@@ -12,8 +12,10 @@ from ratcat import (
     InvariantViolation,
     LabeledDigraph,
     ShiftBounds,
+    bizley_count,
     build_graph,
     canonical_form,
+    count_equivalence_classes,
     enumerate_invsets_by_gap,
     enumerate_paths,
     equivalent,
@@ -30,7 +32,7 @@ from ratcat import (
     subdiagonal_box_count,
     unglue,
 )
-from ratcat.invset import InvariantSet
+from ratcat.invset import InvariantSet, Skeleton, invset_from_path_coprime
 from ratcat.verify import all_grid_params
 
 from graph_oracles import (
@@ -287,7 +289,7 @@ def test_minimal_representative_recovers_shift():
 
 def test_minimal_representative_solves_no_shifting(monkeypatch):
     import ratcat.equiv as equiv
-    calls = {"minimal_shifting": 0, "shift_bounds": 0}
+    calls = {"minimal_shifting": 0, "ShiftBounds": 0, "shift_bounds": 0}
 
     def counted(name):
         real = getattr(equiv, name)
@@ -297,13 +299,14 @@ def test_minimal_representative_solves_no_shifting(monkeypatch):
             return real(*args)
         monkeypatch.setattr(equiv, name, wrapper)
 
-    counted("minimal_shifting")
-    counted("shift_bounds")
+    for name in calls:
+        counted(name)
     graphs = [left_graph(), right_graph(), build_graph(worked_delta())]
-    assert calls == {"minimal_shifting": 1, "shift_bounds": 1}  # build_graph solves
+    # build_graph solves once, over the adjacent-value bounds, not the d-wide sweep
+    assert calls == {"minimal_shifting": 1, "ShiftBounds": 1, "shift_bounds": 0}
     for graph in graphs:
         minimal_representative(graph)
-    assert calls == {"minimal_shifting": 1, "shift_bounds": 1}
+    assert calls == {"minimal_shifting": 1, "ShiftBounds": 1, "shift_bounds": 0}
 
 
 LEFT_LABELS = r"\(\(-2, 0, 1, 2, 4\), \(4, 6, 7, 8, 10\), \(-2, -1, 0, 1, 2\), \(4, 5, 6, 7, 8\)\)"
@@ -557,6 +560,98 @@ def test_levels_and_bounds_match_oracles():
             check_against_oracles(delta)
             census += 1
     assert graphs == 2905 and census == 3184
+
+
+def census_subsets(params):
+    return enumerate_invsets_by_gap(params, subdiagonal_box_count(params))
+
+
+def test_adjacent_bounds_give_the_least_shifting():
+    # gluing_data solves over the bounds between consecutive values only; the
+    # d-wide shift_bounds matrix and the one-pass certificate are its witnesses
+    import ratcat.equiv as equiv
+    subsets = [worked_delta()] + [delta for grid in CENSUS_GRIDS
+                                  for delta in census_subsets(GridParams(*grid))]
+    for delta in subsets:
+        sk = skeleton(delta)
+        d = delta.params.d
+        least = minimal_shifting(shift_bounds(sk))
+        assert equiv.gluing_data(delta.params, sk.sorted_values) == (
+            tuple(tuple((x + least[i]) // d for x in part)
+                  for i, part in enumerate(sk.parts_mod_d())),
+            tuple((i + least[i]) % d for i in range(d))), delta.gen
+        assert equiv._shifting_fault(list(sk.sorted_values), least) is None, delta.gen
+    assert len(subsets) == 1 + 3184
+
+
+def test_adjacent_bounds_have_the_full_feasible_set():
+    # on any distinct values, not only skeletons: the same least shifting, or
+    # the same Infeasible when a part has no value above one of part 0's
+    import ratcat.equiv as equiv
+    rng = random.Random(2202)
+    infeasible = 0
+    for _ in range(3000):
+        d = rng.randint(1, 5)
+        values = tuple(sorted(rng.sample(range(-12, 30), rng.randint(d, 14))))
+        params = GridParams(1, 1, d)
+        try:
+            want = minimal_shifting(shift_bounds(Skeleton(params, values)))
+        except Infeasible as exc:
+            with pytest.raises(Infeasible, match=f"^{exc}$"):
+                equiv.gluing_data(params, values)
+            infeasible += 1
+            continue
+        levels = equiv.gluing_data(params, values)[1]
+        assert levels == tuple((i + want[i]) % d for i in range(d)), values
+        assert equiv._shifting_fault(list(values), want) is None, values
+    assert infeasible > 300
+
+
+def test_census_forms_are_the_build_graph_forms(monkeypatch):
+    # the census sees exactly build_graph's classes, validates every subset it
+    # assembles, and validates and encodes each distinct graph once
+    import ratcat.series as series
+    real_invset, real_form = series.InvariantSet, series.canonical_form
+    real_check = LabeledDigraph.__post_init__
+    for grid in CENSUS_GRIDS:
+        params = GridParams(*grid)
+        deltas = census_subsets(params)
+        graphs = [build_graph(delta) for delta in deltas]
+        assembled, forms, checked = [], [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(series, "InvariantSet", lambda params, gen:
+                       assembled.append(real_invset(params, gen)) or assembled[-1])
+            mp.setattr(series, "canonical_form",
+                       lambda graph: forms.append(real_form(graph)) or forms[-1])
+            mp.setattr(LabeledDigraph, "__post_init__",
+                       lambda graph: checked.append(1) or real_check(graph))
+            classes = count_equivalence_classes(params)
+        assert [delta.gen for delta in assembled] == [delta.gen for delta in deltas], grid
+        assert set(forms) == {real_form(graph) for graph in graphs}, grid
+        assert len(forms) == len(checked) == len({(g.labels, g.levels) for g in graphs}), grid
+        assert classes == len(set(forms)) == bizley_count(*grid), grid
+
+
+def oracle_enumeration(params, budget):
+    """Generator vectors of every 0-normalized subset with gap <= budget, by
+    brute force over the residue decomposition: one coprime component and a
+    shift per class, class 0 unshifted, in lexicographic order of the choices."""
+    n, m, d = params.n, params.m, params.d
+    base = [invset_from_path_coprime(path) for path in enumerate_paths(GridParams(n, m, 1))]
+    first = [(k, 0) for k in range(len(base))]
+    rest = [(k, s) for k in range(len(base)) for s in range(budget + 1)]
+    return [invset_from_generators(params, [d * (g + s) + r for r, (k, s) in enumerate(chosen)
+                                            for g in base[k].gen]).gen
+            for chosen in itertools.product(first, *[rest] * (d - 1))
+            if sum(gap(base[k]) + s for k, s in chosen) <= budget]
+
+
+def test_enumeration_matches_brute_force():
+    for grid in CENSUS_GRIDS:
+        params = GridParams(*grid)
+        for budget in (0, 2, subdiagonal_box_count(params)):
+            got = [delta.gen for delta in enumerate_invsets_by_gap(params, budget)]
+            assert got == oracle_enumeration(params, budget), (grid, budget)
 
 
 def test_positive_cycle_is_infeasible():

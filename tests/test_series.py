@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from ratcat import (
@@ -5,6 +11,8 @@ from ratcat import (
     F_series,
     FormulaMismatch,
     GridParams,
+    InvalidGraph,
+    InvariantViolation,
     LimitExceeded,
     QTPoly,
     QTSeries,
@@ -136,3 +144,38 @@ def test_class_counts():
         assert count_equivalence_classes(params) == expected
         assert expected == bizley_count(n, m, d)
     assert fuss_catalan(2, 2) == count_equivalence_classes(GridParams(1, 2, 2))
+
+
+def test_forged_census_data_is_an_invariant_violation(monkeypatch):
+    import ratcat.series as series
+    real = series.gluing_data  # forged to put every vertex on level 0
+    monkeypatch.setattr(series, "gluing_data",
+                        lambda params, values: (real(params, values)[0], (0,) * params.d))
+    with pytest.raises(InvariantViolation) as exc:
+        count_equivalence_classes(P22)
+    assert str(exc.value) == ("gluing data of (0, 1) (labels ((-1, 0), (-1, 0)), levels (0, 0)) "
+                              "is invalid: level-0 vertices [0, 1], expected exactly one")
+    assert isinstance(exc.value.__cause__, InvalidGraph)
+
+
+def test_forged_census_data_raises_under_optimize():
+    # under -O the trailing assert is stripped, which shows -O is in effect
+    script = textwrap.dedent("""
+        import ratcat.series as series
+        from ratcat import GridParams, InvariantViolation
+        real = series.gluing_data
+        series.gluing_data = lambda params, values: (real(params, values)[0], (0,) * params.d)
+        try:
+            print("count", series.count_equivalence_classes(GridParams(1, 1, 3)))
+        except InvariantViolation as exc:
+            print("raised", type(exc).__name__)
+        assert False
+        print("optimized")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["raised", "InvariantViolation", "optimized"]
