@@ -39,9 +39,7 @@ def _dump(obj) -> str:
 
 
 def _params(args) -> GridParams:
-    """The grid of --n, --m, --d; the one place where --d is checked."""
-    if args.d < 1:
-        raise ValueError(f"--d must be at least 1, got {args.d}")
+    """The grid of --n, --m, --d, checked by GridParams."""
     return GridParams(args.n, args.m, args.d)
 
 

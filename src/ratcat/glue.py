@@ -29,7 +29,7 @@ from .errors import (
     NotBalanced,
 )
 from .equiv import LabeledDigraph
-from .invset import coprime_from_skeleton
+from .invset import _walk, coprime_from_skeleton
 from .lattice import DyckPath, GridParams, step_ranks
 
 
@@ -44,21 +44,6 @@ def _glued(params: GridParams, steps: str) -> DyckPath:
         return DyckPath(params, steps)
     except DomainError as exc:
         raise InvariantViolation(f"gluing produced {steps!r}, not a Dyck path: {exc}") from exc
-
-
-def _walk(n: int, m: int, skel: frozenset[int], r: int) -> tuple[str, list[int]]:
-    """Steps and step ranks of the window from rank r: 'h' iff r + n is in skel."""
-    start, steps, ranks = r, [], []
-    for _ in range(n + m):
-        if r not in skel:
-            raise NoIntersection(f"no point of rank {r} is on the path")
-        ranks.append(r)
-        up = r + n not in skel
-        steps.append("v" if up else "h")
-        r += -m if up else n
-    if r != start:
-        raise InvariantViolation(f"window {''.join(steps)!r} does not return to rank {start}")
-    return "".join(steps), ranks
 
 
 @dataclass(frozen=True)
@@ -244,7 +229,7 @@ def _peel(path: DyckPath, ranks: list[int]):
     positions slices out each window's ranks, yielded sorted as its label.
     """
     width = path.params.n + path.params.m
-    held = [0] * (max(max(ranks), 0) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
+    held = [0] * (max(ranks) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
     top = held.copy()  # the highest round removed so far, by rank
     stack: list[int] = []
     stack_ranks: list[int] = []  # ranks[z] for each z on the stack
@@ -287,8 +272,6 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     """
     n, m = path.params.n, path.params.m
     steps = path.steps
-    if not steps:
-        raise ValueError("cannot unglue the empty path")
     point_ranks = _point_ranks(path)
     windows = sorted([(-round_, positions[0], label, positions)
                       for round_, label, positions in _peel(path, point_ranks)])

@@ -19,14 +19,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (
+    DomainError,
     EmptyInput,
     InvalidCore,
     InvalidSkeleton,
     InvariantViolation,
+    NoIntersection,
     NotCoprimeCase,
     NotNormalized,
 )
-from .lattice import DyckPath, GridParams, box_rank, step_ranks
+from .lattice import DyckPath, GridParams, area, step_ranks
 
 
 @dataclass(frozen=True)
@@ -197,23 +199,38 @@ def coprime_from_skeleton(n: int, m: int, label: tuple[int, ...]) -> InvariantSe
     return invset_from_skeleton(GridParams(n, m, 1), label)
 
 
+def _walk(n: int, m: int, skel: frozenset[int], r: int) -> tuple[str, list[int]]:
+    """Steps and step ranks of the window from rank r: 'h' iff r + n is in skel."""
+    start, steps, ranks = r, [], []
+    for _ in range(n + m):
+        if r not in skel:
+            raise NoIntersection(f"no point of rank {r} is on the path")
+        ranks.append(r)
+        up = r + n not in skel
+        steps.append("v" if up else "h")
+        r += -m if up else n
+    if r != start:
+        raise InvariantViolation(f"window {''.join(steps)!r} does not return to rank {start}")
+    return "".join(steps), ranks
+
+
 def map_D_coprime(delta: InvariantSet) -> DyckPath:
-    """Boundary path of the diagram of boxes whose rank lies in Delta (d = 1)."""
+    """Boundary path of the diagram of boxes whose rank lies in Delta (d = 1).
+
+    Its step ranks are Delta's skeleton (see invset_from_path_coprime), so
+    it is the skeleton's window walk from rank -m, where every path
+    starts: -m is a cogenerator, as min(Delta) = 0.  A walk that fails,
+    or is no Dyck path, is a bug.
+    """
     p = delta.params
     if p.d != 1:
         raise NotCoprimeCase("the diagram map requires d = 1")
     if not delta.normalized:
         raise NotNormalized("the diagram map requires min(Delta) = 0")
-    steps = []
-    x = p.M
-    for y in range(p.N):
-        row = sum(1 for b in range(p.m) if delta.contains(box_rank(p, b, y)))
-        steps.append("h" * (x - row))
-        x = row
-        steps.append("v")
-    if x != 0:
-        raise InvariantViolation(f"diagram rows of {delta.gen} do not close at x = 0")
-    return DyckPath(p, "".join(steps))
+    try:
+        return DyckPath(p, _walk(p.n, p.m, frozenset(skeleton(delta).sorted_values), -p.m)[0])
+    except DomainError as exc:
+        raise InvariantViolation(f"the skeleton walk of {delta.gen} fails: {exc}") from exc
 
 
 def invset_from_path_coprime(path: DyckPath) -> InvariantSet:
@@ -237,7 +254,6 @@ def map_G(delta: InvariantSet) -> DyckPath:
 
 def dinv_invset(delta: InvariantSet) -> int:
     """dinv of an invariant subset: the area of its G-image."""
-    from .lattice import area
     return area(delta.params, map_G(delta))
 
 

@@ -28,12 +28,11 @@ ENUM_LIMIT = 24
 
 @dataclass(frozen=True)
 class GridParams:
-    """Dimensions (n, m, d) of the N x M rectangle, N = d*n, M = d*m.
+    """The grid (n, m, d): the N x M rectangle with N = d*n and M = d*m.
 
-    n and m must be coprime; d = gcd(N, M) is the common multiplicity.
-    d = 0 is allowed as a degenerate value encoding the empty rectangle
-    (needed as the result of removing the last balanced interval from a
-    path); every other operation expects d >= 1.
+    n and m are positive and coprime and d >= 1, so d = gcd(N, M).  This
+    is the one place where a grid is checked: everything that takes a
+    GridParams, or builds one from its own arguments, relies on it.
     """
 
     n: int
@@ -42,11 +41,11 @@ class GridParams:
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
+            raise ValueError(f"n and m must be positive, got n={self.n} and m={self.m}")
         if gcd(self.n, self.m) != 1:
             raise ValueError(f"n={self.n} and m={self.m} must be coprime")
-        if self.d < 0:
-            raise ValueError("d must be non-negative")
+        if self.d < 1:
+            raise ValueError(f"d must be at least 1, got {self.d}")
 
     @property
     def N(self) -> int:
@@ -95,7 +94,7 @@ class DyckPath:
             else:
                 total += r // n
                 r -= m
-        if steps and steps[-1] != "v":  # excluded by the diagonal constraint
+        if steps[-1] != "v":  # excluded by the diagonal constraint
             raise InvariantViolation(f"{steps!r} ends with a horizontal step")
         object.__setattr__(self, "_area", total)
 
@@ -123,12 +122,8 @@ class DyckPath:
 
 
 def parse_path(text: str, params: GridParams) -> DyckPath:
-    """Validate a step string over {'h','v'} and wrap it as a DyckPath."""
-    if len(text) != params.N + params.M:
-        raise MalformedPath(
-            f"expected {params.N + params.M} characters, got {len(text)}")
-    if set(text) - {"h", "v"}:
-        raise MalformedPath(f"illegal characters in {text!r}")
+    """The DyckPath of a step string; its N 'v' and M 'h' steps, and no
+    other letter, are checked by DyckPath itself."""
     return DyckPath(params, text)
 
 
@@ -216,12 +211,9 @@ def bizley_count(n: int, m: int, d: int) -> int:
     """|Y_{dn,dm}|: the coefficient of x^d in exp(sum_j C(j(m+n), jm)/(j(m+n)) x^j).
 
     Computed in exact rational arithmetic; the result is checked to be
-    an integer.
+    an integer.  (n, m, d) is checked as a GridParams.
     """
-    if gcd(n, m) != 1:
-        raise ValueError("n and m must be coprime")
-    if d < 1:
-        raise ValueError("d must be positive")
+    GridParams(n, m, d)
     c = [Fraction(0)] * (d + 1)
     for j in range(1, d + 1):
         c[j] = Fraction(comb(j * (m + n), j * m), j * (m + n))

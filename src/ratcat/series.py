@@ -11,7 +11,7 @@ exponential-formula path counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, gcd
+from math import factorial
 
 from .equiv import canonical_form, checked_graph, gluing_data
 from .errors import FormulaMismatch
@@ -204,8 +204,6 @@ def springer_poincare(n: int, m: int) -> QTPoly:
     Computed both as sum of t^(2(delta - dinv)) and as sum of t^(2|D|)
     over coprime Dyck paths; the two must agree.
     """
-    if gcd(n, m) != 1:
-        raise ValueError("n and m must be coprime")
     params = GridParams(n, m, 1)
     by_dinv = QTPoly()
     by_boxes = QTPoly()

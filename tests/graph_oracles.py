@@ -96,7 +96,10 @@ def window(periodic, r):
 
 
 def remove_interval(path, r):
-    """Remove the balanced window of n+m steps at r, translating the tail by (m, -n)."""
+    """Remove the balanced window of n+m steps at r, translating the tail by (m, -n).
+
+    The smaller path's grid has d - 1 >= 1, so a path with d = 1 is
+    refused by its GridParams."""
     p = path.params
     width = p.n + p.m
     if not 0 <= r <= len(path.steps) - width:

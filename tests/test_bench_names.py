@@ -1,14 +1,16 @@
-"""The benchmark's traced run wraps ratcat functions by name; every name must resolve."""
+"""The benchmark wraps and calls ratcat functions by name; every name must resolve."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _layers():
-    spec = importlib.util.spec_from_file_location("_bench_layertrace", LAYERTRACE)
+    spec = importlib.util.spec_from_file_location("_bench_layertrace",
+                                                  PERFBENCH / "layertrace.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.LAYERS
@@ -26,4 +28,20 @@ def test_every_traced_name_resolves_in_its_layer():
                 found = callable(getattr(home, name, None))
             if not found:
                 missing.append(f"{layer}.{name}")
+    assert missing == []
+
+
+def test_every_workload_name_resolves_in_its_module():
+    # the untraced run calls <module>.<name> for each module that
+    # workloads.py imports from ratcat
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "ratcat"
+               for alias in node.names}
+    used = {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+    assert ("lattice", "parse_path") in used and len(used) >= 20
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(importlib.import_module(f"ratcat.{module}"), name)]
     assert missing == []

@@ -265,7 +265,7 @@ def test_deterministic_output(capsys):
 def test_nonpositive_d_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == f"error: --d must be at least 1, got {argv[argv.index('--d') + 1]}\n"
+    assert err == f"error: d must be at least 1, got {argv[argv.index('--d') + 1]}\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -242,9 +242,10 @@ def test_remove_interval():
     assert [tuple(sorted(window_skeleton(cur, r))) for r in nxt] == [ORANGE]
     with pytest.raises(NotBalanced):
         remove_interval(D, 5)  # window "hhhvh" has one vertical step
-    # removing the unique good interval of a coprime path leaves nothing
+    # a coprime path has no smaller grid to lose its one window to
     gamma_path = map_D_coprime(semigroup(GridParams(3, 2, 1)))
-    assert remove_interval(gamma_path, 0).steps == ""
+    with pytest.raises(ValueError, match="^d must be at least 1, got 0$"):
+        remove_interval(gamma_path, 0)
 
 
 def test_window_start_out_of_range_is_rejected():
@@ -259,15 +260,14 @@ def test_window_start_out_of_range_is_rejected():
 
 
 def test_remove_then_glue_back_roundtrip():
-    # at d = 1 the smaller path is the empty one, whose one point has rank -m
     for params in all_grid_params(12):
+        if params.d == 1:
+            continue
         n, m = params.n, params.m
         for D in enumerate_paths(params):
             for r in good_intervals(D):
                 skel = window_skeleton(D, r)
                 smaller = remove_interval(D, r)
-                if params.d == 1:
-                    assert good_intervals(smaller) == []
                 back = glue_once(smaller, periodic_from_skeleton(n, m, skel))
                 assert back.steps == D.steps
 
@@ -390,8 +390,7 @@ def _reference_good_positions(ranks, width):
 
 
 def test_point_box_ranks_match_per_point_formula():
-    # the empty d = 0 path has no steps and the single point (m, 0)
-    for D in [*_paths_up_to(14), DyckPath(GridParams(3, 2, 0), "")]:
+    for D in _paths_up_to(14):
         assert glue._point_ranks(D) == _reference_point_ranks(D), D.steps
 
 
@@ -405,6 +404,8 @@ def test_good_intervals_match_quadratic_definition():
 
 def test_ranks_unchanged_under_remove_interval():
     for D in _paths_up_to(14):
+        if D.params.d == 1:
+            continue
         n, m = D.params.n, D.params.m
         ranks = _reference_point_ranks(D)
         for r in range(len(D.steps) - (n + m) + 1):
@@ -618,8 +619,6 @@ def test_peel_removes_only_good_windows():
 
 
 def test_unglue_failure_paths(monkeypatch):
-    with pytest.raises(ValueError, match="cannot unglue the empty path"):
-        unglue(DyckPath(GridParams(3, 2, 0), ""))
     D = glue_all(example_graph())
     # strictly rising ranks: no window starts and ends at one rank
     monkeypatch.setattr(glue, "_point_ranks",

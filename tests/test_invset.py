@@ -9,6 +9,7 @@ from ratcat import (
     GridParams,
     InvalidSkeleton,
     InvariantViolation,
+    NoIntersection,
     NotCoprimeCase,
     NotNormalized,
     area,
@@ -33,7 +34,8 @@ from ratcat import (
     skeleton,
     zeta,
 )
-from ratcat.invset import InvariantSet
+from ratcat.invset import InvariantSet, Skeleton
+from ratcat.verify import all_grid_params
 
 P53 = GridParams(5, 3, 1)
 P64 = GridParams(3, 2, 2)
@@ -175,6 +177,43 @@ def test_invset_from_path_forged_ranks_are_a_bug(monkeypatch):
         invset_from_path_coprime(D)
     assert not isinstance(exc.value, DomainError)
     assert isinstance(exc.value.__cause__, InvalidSkeleton)
+
+
+def _reference_map_D(delta):
+    """The box definition: row y of the diagram holds the boxes (x, y),
+    x < m, whose rank lies in Delta, and the rows close at x = 0."""
+    p = delta.params
+    steps, x = [], p.M
+    for y in range(p.N):
+        row = sum(1 for b in range(p.m) if delta.contains(box_rank(p, b, y)))
+        steps.append("h" * (x - row) + "v")
+        x = row
+    assert x == 0, delta.gen
+    return "".join(steps)
+
+
+def test_map_D_matches_box_definition():
+    # Delta from the box scan, so neither side reads it off a skeleton
+    checked = 0
+    for params in all_grid_params(14):
+        if params.d != 1:
+            continue
+        for D in enumerate_paths(params):
+            delta = _reference_invset_from_path(D)
+            assert map_D_coprime(delta).steps == _reference_map_D(delta) == D.steps
+            checked += 1
+    assert checked == 1401
+
+
+def test_failed_skeleton_walk_is_a_bug(monkeypatch):
+    # a skeleton without -m gives the walk no start point
+    delta = exzeta_delta()
+    forged = Skeleton(P53, tuple(x + 1 for x in skeleton(delta).sorted_values))
+    monkeypatch.setattr(ratcat.invset, "skeleton", lambda delta: forged)
+    with pytest.raises(InvariantViolation, match=r"^the skeleton walk of \(0, 6, 7, 3, 9\) "
+                       "fails: no point of rank -3 is on the path$") as exc:
+        map_D_coprime(delta)
+    assert isinstance(exc.value.__cause__, NoIntersection)
 
 
 def test_map_G_golden():

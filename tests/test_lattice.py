@@ -124,9 +124,14 @@ def test_step_ranks_golden():
     assert step_ranks(p11, parse_path("hv", p11)) == [-1, 0]
 
 
-def test_step_ranks_of_the_empty_path():
-    p0 = GridParams(3, 2, 0)
-    assert step_ranks(p0, DyckPath(p0, "")) == []
+def test_grid_params_rejects_nonpositive_values():
+    for (n, m, d), message in [((3, 2, 0), "d must be at least 1, got 0"),
+                               ((3, 2, -1), "d must be at least 1, got -1"),
+                               ((0, 1, 1), "n and m must be positive, got n=0 and m=1"),
+                               ((1, 0, 2), "n and m must be positive, got n=1 and m=0"),
+                               ((-1, 2, 1), "n and m must be positive, got n=-1 and m=2")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GridParams(n, m, d)
 
 
 def step_ranks_from_boxes(params, path):
@@ -182,8 +187,6 @@ def test_area_matches_row_count():
     for params in all_grid_params(16):
         for D in enumerate_paths(params):
             assert area(params, D) == area_by_rows(params, D), (params, D.steps)
-    p0 = GridParams(3, 2, 0)
-    assert area(p0, DyckPath(p0, "")) == 0
 
 
 def test_area_rejects_a_path_of_another_grid():
@@ -240,3 +243,9 @@ def test_bizley_matches_enumeration():
                 if params.N + params.M > 24:
                     continue
                 assert len(enumerate_paths(params)) == bizley_count(n, m, d)
+
+
+@pytest.mark.parametrize("n, m, d", [(0, 1, 1), (-1, 2, 1), (1, 0, 2), (1, 1, 0)])
+def test_bizley_rejects_what_grid_params_rejects(n, m, d):
+    with pytest.raises(ValueError):
+        bizley_count(n, m, d)

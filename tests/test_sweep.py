@@ -61,8 +61,6 @@ def test_dinv_armleg_empty_diagram():
     empty = parse_path("hhh" + "vvvvv", P53)
     assert empty.box_count() == 0
     assert dinv_armleg(P53, empty) == 0
-    p0 = GridParams(3, 2, 0)  # the empty path of the empty rectangle
-    assert dinv_armleg(p0, parse_path("", p0)) == 0
 
 
 def dinv_by_arm_and_leg(params, path):
