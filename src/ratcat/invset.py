@@ -248,8 +248,14 @@ def invset_from_path_coprime(path: DyckPath) -> InvariantSet:
 
 def map_G(delta: InvariantSet) -> DyckPath:
     """Path read off the sorted skeleton: generators become vertical steps,
-    cogenerators horizontal ones; validity is asserted on construction."""
-    return DyckPath(delta.params, skeleton(delta).step_pattern())
+    cogenerators horizontal ones.  That it is a Dyck path is a theorem,
+    checked on construction; a pattern that fails the check is a bug."""
+    pattern = skeleton(delta).step_pattern()
+    try:
+        return DyckPath(delta.params, pattern)
+    except DomainError as exc:
+        raise InvariantViolation(f"the skeleton pattern {pattern!r} of {delta.gen} "
+                                 f"is no Dyck path: {exc}") from exc
 
 
 def dinv_invset(delta: InvariantSet) -> int:

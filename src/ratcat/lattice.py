@@ -70,6 +70,24 @@ def box_rank(params: GridParams, x: int, y: int) -> int:
     return params.d * params.m * params.n - params.m - params.n - params.n * x - params.m * y
 
 
+def _dyck_area(params: GridParams, steps: str) -> int:
+    """Area of a string of N 'v' and M 'h' steps (the caller has counted
+    them) by its one rank walk, which raises AboveDiagonal if it crosses."""
+    n, m = params.n, params.m
+    r, total = -m, 0
+    for s in steps:
+        if s == "h":
+            r += n
+        elif r < 0:  # the point after this 'v' would rank below -m
+            raise AboveDiagonal(f"{steps!r} crosses the diagonal")
+        else:
+            total += r // n
+            r -= m
+    if steps[-1] != "v":  # excluded by the diagonal constraint
+        raise InvariantViolation(f"{steps!r} ends with a horizontal step")
+    return total
+
+
 @dataclass(frozen=True, slots=True)
 class DyckPath:
     """A step sequence weakly below the diagonal, validated on construction."""
@@ -79,24 +97,23 @@ class DyckPath:
     _area: int = field(init=False, repr=False, compare=False)  # summed by validation
 
     def __post_init__(self):
-        steps, n, m = self.steps, self.params.n, self.params.m
-        N, M = self.params.N, self.params.M
+        steps, N, M = self.steps, self.params.N, self.params.M
         if len(steps) != N + M:
             raise MalformedPath(f"expected {N + M} steps, got {len(steps)}")
         if steps.count("v") != N or steps.count("h") != M:
             raise MalformedPath(f"expected {N} 'v' and {M} 'h' steps in {steps!r}")
-        r, total = -m, 0
-        for s in steps:
-            if s == "h":
-                r += n
-            elif r < 0:  # the point after this 'v' would rank below -m
-                raise AboveDiagonal(f"{steps!r} crosses the diagonal")
-            else:
-                total += r // n
-                r -= m
-        if steps[-1] != "v":  # excluded by the diagonal constraint
-            raise InvariantViolation(f"{steps!r} ends with a horizontal step")
-        object.__setattr__(self, "_area", total)
+        object.__setattr__(self, "_area", _dyck_area(self.params, steps))
+
+    @classmethod
+    def _trusted(cls, params: GridParams, steps: str, area: int) -> DyckPath:
+        """The path of N 'v' and M 'h' steps whose rank walk stays weakly
+        below the diagonal and sums area, all known to the caller; nothing
+        is checked again."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "params", params)
+        object.__setattr__(path, "steps", steps)
+        object.__setattr__(path, "_area", area)
+        return path
 
     def __str__(self) -> str:
         return self.steps
@@ -176,7 +193,9 @@ def area(params: GridParams, path: DyckPath) -> int:
 def enumerate_paths(params: GridParams) -> tuple[DyckPath, ...]:
     """All Dyck paths of the rectangle in lexicographic order ('h' < 'v').
 
-    The result is cached per parameter set; treat it as immutable.
+    The generator's own walk makes DyckPath's checks and sums each area,
+    so no path is walked twice.  The result is cached per parameter set;
+    treat it as immutable.
     """
     if params.N + params.M > ENUM_LIMIT:
         raise LimitExceeded(
@@ -186,24 +205,28 @@ def enumerate_paths(params: GridParams) -> tuple[DyckPath, ...]:
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(params: GridParams) -> tuple[DyckPath, ...]:
+    # The walk spends exactly M 'h' and N 'v' steps, takes a 'v' only from
+    # rank r >= 0 and sums r // n as it does: the checks and the area of
+    # DyckPath's own walk, so each leaf is built trusted.
     n, m = params.n, params.m
+    trusted = DyckPath._trusted
     out = []
     steps = []
 
-    def rec(r, h_left, v_left):
+    def rec(r, h_left, v_left, area):
         if not h_left and not v_left:
-            out.append(DyckPath(params, "".join(steps)))
+            out.append(trusted(params, "".join(steps), area))
             return
         if h_left:
             steps.append("h")
-            rec(r + n, h_left - 1, v_left)
+            rec(r + n, h_left - 1, v_left, area)
             steps.pop()
         if v_left and r >= 0:  # a 'v' from rank r reaches rank r - m >= -m
             steps.append("v")
-            rec(r - m, h_left, v_left - 1)
+            rec(r - m, h_left, v_left - 1, area + r // n)
             steps.pop()
 
-    rec(-m, params.M, params.N)
+    rec(-m, params.M, params.N, 0)
     return tuple(out)
 
 

@@ -9,7 +9,8 @@ itself, one backward rank walk over its pairs of a 'v' and a later 'h'.
 
 from __future__ import annotations
 
-from .lattice import DyckPath, GridParams, _check_grid, area
+from .errors import AboveDiagonal, InvariantViolation
+from .lattice import DyckPath, GridParams, _check_grid, _dyck_area, area
 
 
 def zeta(params: GridParams, path: DyckPath) -> DyckPath:
@@ -17,8 +18,11 @@ def zeta(params: GridParams, path: DyckPath) -> DyckPath:
 
     Ranks lie in [-m, d*m*n - m]: one rank walk prepends the step of rank
     r to bucket r + m of d*m*n + 1, so each bucket is in reverse path
-    order and the buckets read in order give that sort.  The output is
-    again a Dyck path; the DyckPath constructor asserts it.
+    order and the buckets read in order give that sort.  The image is a
+    permutation of the steps of a validated path, so its letter counts
+    hold; that it is again a Dyck path is a theorem, checked by the full
+    rank walk, which also sums the area dinv_sweep reads.  A failure is a
+    bug.
     """
     n, m = params.n, params.m
     buckets = [""] * (params.d * m * n + 1)
@@ -26,7 +30,12 @@ def zeta(params: GridParams, path: DyckPath) -> DyckPath:
     for s in path.steps:
         buckets[k] = s + buckets[k]
         k = k + n if s == "h" else k - m
-    return DyckPath(params, "".join(buckets))
+    out = "".join(buckets)
+    try:
+        return DyckPath._trusted(params, out, _dyck_area(params, out))
+    except AboveDiagonal as exc:
+        raise InvariantViolation(f"the sweep image {out!r} of {path.steps!r} "
+                                 f"is no Dyck path: {exc}") from exc
 
 
 def dinv_sweep(params: GridParams, path: DyckPath) -> int:

@@ -32,7 +32,8 @@ from .invset import (
     map_G,
     skeleton,
 )
-from .lattice import DyckPath, GridParams, area, bizley_count, enumerate_paths, parse_path
+from .lattice import (ENUM_LIMIT, DyckPath, GridParams, area, bizley_count,
+                      enumerate_paths, parse_path)
 from .series import (
     C_series,
     F_series,
@@ -313,13 +314,18 @@ def run_suite(name: str, max_size: int | None = None):
     the remaining suites.  max_size None keeps each suite's default, and
     'all' passes any other max_size to the sized suites only.  A max_size
     below 2 is rejected, since no grid has N + M < 2 and the sized suites
-    would check nothing and pass; so is one given to an unsized suite.
+    would check nothing and pass; so is one above ENUM_LIMIT, since every
+    sized suite enumerates the paths of grids up to that size, and one
+    given to an unsized suite.
     """
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{', '.join([*SUITES, 'all'])}")
     if max_size is not None and max_size < 2:
         raise ValueError(f"max_size must be at least 2, got {max_size}")
+    if max_size is not None and max_size > ENUM_LIMIT:
+        raise ValueError(f"max_size must be at most the enumeration limit "
+                         f"{ENUM_LIMIT}, got {max_size}")
     if max_size is not None and name != "all" and not _sized(SUITES[name]):
         raise ValueError(f"suite {name} takes no max_size")
     ok, lines = True, []

@@ -400,6 +400,26 @@ def test_all_passes_max_size_to_sized_suites_only(monkeypatch):
     assert verify.run_suite("all") == (True, ["PASS sized 14", "PASS unsized"])
 
 
+@pytest.mark.parametrize("suite", ["all", "round-trips"])
+def test_verify_max_size_above_the_enumeration_limit_is_rejected(capsys, monkeypatch, suite):
+    from ratcat import verify
+    from ratcat.lattice import ENUM_LIMIT
+
+    ran = []
+
+    def sized(max_size=14):
+        ran.append(max_size)
+        yield f"sized {max_size}", True, ""
+
+    monkeypatch.setattr(verify, "SUITES", {"round-trips": sized})
+    code, out, err = run(capsys, "verify", "--suite", suite,
+                         "--max-size", str(ENUM_LIMIT + 1))
+    assert (code, out, ran) == (1, "", [])
+    assert err == (f"error: max_size must be at most the enumeration limit {ENUM_LIMIT}, "
+                   f"got {ENUM_LIMIT + 1}\n")
+    assert verify.run_suite(suite, ENUM_LIMIT) == (True, [f"PASS sized {ENUM_LIMIT}"])
+
+
 def test_verify_smallest_max_size_checks_a_grid(capsys):
     from ratcat import verify
 

@@ -14,6 +14,7 @@ from ratcat import (
     NotNormalized,
     area,
     box_rank,
+    cli,
     cogenerators_m,
     core_partition,
     d_quotient,
@@ -214,6 +215,23 @@ def test_failed_skeleton_walk_is_a_bug(monkeypatch):
                        "fails: no point of rank -3 is on the path$") as exc:
         map_D_coprime(delta)
     assert isinstance(exc.value.__cause__, NoIntersection)
+
+
+@pytest.mark.parametrize("forge, cause, message", [
+    (lambda pattern: pattern[::-1], "AboveDiagonal", "'vvvhvhvh' crosses the diagonal"),
+    (lambda pattern: pattern[1:], "MalformedPath", "expected 8 steps, got 7"),
+])
+def test_map_G_pattern_that_is_no_path_is_a_bug(monkeypatch, forge, cause, message):
+    pattern = Skeleton.step_pattern
+    monkeypatch.setattr(Skeleton, "step_pattern", lambda self: forge(pattern(self)))
+    bad = forge("hvhvhvvv")
+    with pytest.raises(InvariantViolation) as exc:
+        map_G(exzeta_delta())
+    assert str(exc.value) == (f"the skeleton pattern {bad!r} of (0, 6, 7, 3, 9) "
+                              f"is no Dyck path: {message}")
+    assert type(exc.value.__cause__).__name__ == cause
+    with pytest.raises(InvariantViolation):  # not printed as a domain error
+        cli.main(["invset", "info", "--n", "5", "--m", "3", "--generators", "0,6,7,3,9"])
 
 
 def test_map_G_golden():

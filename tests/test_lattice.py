@@ -219,6 +219,17 @@ def test_enumerate_counts_and_order():
     assert paths == sorted(paths)
 
 
+def test_enumerated_paths_are_the_validated_paths():
+    for params in all_grid_params(14):
+        paths = enumerate_paths(params)
+        for D in paths:
+            full = DyckPath(params, D.steps)
+            assert D == full and area(params, D) == area(params, full), D.steps
+        steps = [D.steps for D in paths]
+        assert all(a < b for a, b in zip(steps, steps[1:])), params
+        assert len(paths) == bizley_count(params.n, params.m, params.d), params
+
+
 def test_enumerate_limit():
     with pytest.raises(LimitExceeded):
         enumerate_paths(GridParams(1, 1, 13))

@@ -2,13 +2,19 @@ import pytest
 from graph_oracles import seeded_paths
 
 from ratcat import (
+    AboveDiagonal,
+    DyckPath,
     GridParams,
+    InvariantViolation,
     MalformedPath,
+    area,
+    cli,
     dinv_armleg,
     dinv_sweep,
     enumerate_paths,
     parse_path,
     step_ranks,
+    sweep,
     zeta,
 )
 from ratcat.verify import all_grid_params
@@ -117,10 +123,27 @@ def test_dinv_statistics_agree():
 
 
 def test_zeta_image_valid_and_bijective():
-    for params in all_grid_params(11):
+    for params in all_grid_params(14):
         paths = enumerate_paths(params)
-        image = {zeta(params, D).steps for D in paths}  # constructor validates
-        assert len(image) == len(paths)
+        images = {zeta(params, D) for D in paths}
+        assert len(images) == len(paths)
+        for image in images:  # each built trusted: compare with the full checks
+            assert (image.steps.count("v"), image.steps.count("h")) == (params.N, params.M)
+            full = DyckPath(params, image.steps)
+            assert area(params, image) == area(params, full), image.steps
+
+
+def test_sweep_image_that_is_no_path_is_a_bug(monkeypatch, capsys):
+    walk = sweep._dyck_area
+    monkeypatch.setattr(sweep, "_dyck_area", lambda params, steps: walk(params, steps[::-1]))
+    with pytest.raises(InvariantViolation) as exc:
+        zeta(P53, parse_path("hhvhvvvv", P53))
+    assert str(exc.value) == ("the sweep image 'hvhvhvvv' of 'hhvhvvvv' is no Dyck path: "
+                              "'vvvhvhvh' crosses the diagonal")
+    assert isinstance(exc.value.__cause__, AboveDiagonal)
+    with pytest.raises(InvariantViolation):  # not printed as a domain error
+        cli.main(["sweep", "zeta", "--n", "5", "--m", "3", "--path", "hhvhvvvv"])
+    assert capsys.readouterr().err == ""
 
 
 def test_dinv_bounded_by_subdiagonal_count():
