@@ -12,6 +12,7 @@ equality of canonical forms of these digraphs decides equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 from .errors import (
     Infeasible,
@@ -181,10 +182,9 @@ class LabeledDigraph:
             raise InvalidGraph(f"level-0 vertices {sources}, expected exactly one")
         for i, lbl in enumerate(labels):
             try:
-                rec = coprime_from_skeleton(self.n, self.m, lbl)
+                low = _label_low(self.n, self.m, lbl)
             except InvalidSkeleton as exc:
                 raise InvalidGraph(f"label {i} is not a skeleton: {exc}") from exc
-            low = rec.min_element()
             if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
             if levels[i] == 0 and low != 0:
@@ -196,6 +196,13 @@ class LabeledDigraph:
 
     def to_jsonable(self) -> dict:
         return {"labels": [list(lbl) for lbl in self.labels], "levels": list(self.levels)}
+
+
+@lru_cache(maxsize=4096)
+def _label_low(n: int, m: int, label: tuple[int, ...]) -> int:
+    """Least element of the (n, m)-invariant subset with skeleton label, memoized;
+    a label that is no skeleton raises InvalidSkeleton on every call."""
+    return coprime_from_skeleton(n, m, label).min_element()
 
 
 def gluing_data(params: GridParams, values) -> tuple[tuple, tuple[int, ...]]:
@@ -255,9 +262,16 @@ def canonical_form(graph: LabeledDigraph) -> bytes:
     Written directly, as the bytes of json.dumps with separators (",", ":").
     """
     pairs = sorted(zip(graph.labels, graph.levels))
-    labels = "],[".join(",".join(map(str, lbl)) for lbl, _ in pairs)
-    levels = ",".join(str(f) for _, f in pairs)
+    labels = "],[".join([_label_text(lbl) for lbl, _ in pairs])
+    levels = ",".join([str(f) for _, f in pairs])
     return f'{{"labels":[[{labels}]],"levels":[{levels}]}}'.encode("ascii")
+
+
+@lru_cache(maxsize=4096)
+def _label_text(label: tuple[int, ...]) -> str:
+    """A label's values as JSON array items, memoized, as labels repeat; %d
+    gives labels that are equal keys, such as (0, True) and (0, 1), one text."""
+    return ",".join(["%d" % x for x in label])
 
 
 def _shifting_fault(values: list[int], p: tuple[int, ...]) -> str | None:

@@ -73,20 +73,35 @@ def periodic_from_skeleton(n: int, m: int, values) -> PeriodicPath:
     return PeriodicPath(n, m, values)
 
 
-def _splice(steps: str, ranks: list[int], n: int, m: int, skel: frozenset[int]) -> str:
-    """Splice a window of the periodic path on skel into steps at their first point on it.
+@lru_cache(maxsize=4096)
+def _label_ranks(label: tuple[int, ...]) -> frozenset[int]:
+    """A label's ranks as a set, memoized, as labels repeat across graphs."""
+    return frozenset(label)
+
+
+@lru_cache(maxsize=4096)
+def _window(n: int, m: int, label: tuple[int, ...], r: int) -> tuple[str, tuple[int, ...]]:
+    """_walk of the periodic path on label from rank r, memoized per (label, r);
+    a walk that fails raises on every call, as lru_cache caches no exception."""
+    steps, ranks = _walk(n, m, _label_ranks(label), r)
+    return steps, tuple(ranks)
+
+
+def _splice(steps: str, ranks: list[int], n: int, m: int, label: tuple[int, ...]) -> str:
+    """Splice a window of the periodic path on label into steps at their first point on it.
 
     ranks are the point ranks of steps, end point included: the empty
     path's one point, of rank -m, is where the first window enters.  The
     window's own ranks are inserted; it walks back to its start rank, so
     the rest keeps its ranks.
     """
+    skel = _label_ranks(label)
     for cut, r in enumerate(ranks):
         if r in skel:
             break
     else:
         raise NoIntersection("the periodic path misses the current path")
-    window, window_ranks = _walk(n, m, skel, r)
+    window, window_ranks = _window(n, m, label, r)
     ranks[cut:cut] = window_ranks
     return steps[:cut] + window + steps[cut:]
 
@@ -102,8 +117,8 @@ def glue_once(dhat: DyckPath, periodic: PeriodicPath) -> DyckPath:
     if (periodic.n, periodic.m) != (p.n, p.m):
         raise DomainError(f"cannot glue a ({periodic.n},{periodic.m})-periodic path "
                           f"into a path of the ({p.n},{p.m}) grid")
-    return _glued(GridParams(p.n, p.m, p.d + 1),
-                  _splice(dhat.steps, _point_ranks(dhat), p.n, p.m, periodic.skel))
+    steps = _splice(dhat.steps, _point_ranks(dhat), p.n, p.m, tuple(sorted(periodic.skel)))
+    return _glued(GridParams(p.n, p.m, p.d + 1), steps)
 
 
 def glue_all(graph: LabeledDigraph) -> DyckPath:
@@ -114,19 +129,19 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
     its window starts at the point of rank -m, the start of every path,
     which the source label holds, as the graph checked it is 0-normalized.
 
-    Each window is walked straight from its validated label; each but the
-    source's meets one spliced a level earlier, so a miss is a bug.  The
-    ranks are spliced along with the steps, and only the final path is
-    validated.  That covers every intermediate path: each window walks
-    back to its start rank, so it is balanced and its splice only inserts
-    ranks; an intermediate path's point ranks are among the final path's,
-    all >= -m when that one is Dyck.
+    Each window is walked from its validated label by _window, memoized per
+    label and entry rank; each but the source's meets one spliced a level
+    earlier, so a miss is a bug.  The ranks are spliced along with the
+    steps, and only the final path is validated.  That covers every
+    intermediate path: each window walks back to its start rank, so it is
+    balanced and its splice only inserts ranks; an intermediate path's
+    point ranks are among the final path's, all >= -m when that one is Dyck.
     """
     n, m = graph.n, graph.m
     steps, ranks = "", [-m]  # the empty path: one point, of rank -m
     for v in sorted(range(graph.d), key=graph.levels.__getitem__):
         try:
-            steps = _splice(steps, ranks, n, m, frozenset(graph.labels[v]))
+            steps = _splice(steps, ranks, n, m, graph.labels[v])
         except NoIntersection as exc:
             raise InvariantViolation(f"gluing vertex {v} of {graph.labels}: {exc}") from exc
     return _glued(GridParams(n, m, graph.d), steps)

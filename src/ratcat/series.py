@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .equiv import canonical_form, checked_graph, gluing_data
+from .equiv import checked_graph, gluing_data
 from .errors import FormulaMismatch
 from .invset import InvariantSet, dinv_invset, gap, invset_from_path_coprime, skeleton
 from .lattice import GridParams, area, enumerate_paths, subdiagonal_box_count
@@ -230,18 +230,19 @@ def count_equivalence_classes(params: GridParams) -> int:
     glued Dyck path, and no area exceeds the sub-diagonal box count.
     Every subset is assembled as a validated InvariantSet, while its
     skeleton part r is read off as d*(skeleton(component) + shift) + r, with
-    the component skeletons computed once.  Each distinct (labels, levels) is
-    validated as a LabeledDigraph and encoded once: a repeat's check is a
-    pure function of the same data.
+    the component skeletons computed once.  A class is its sorted (label, level)
+    vertices, canonical_form's key, and is validated once: each check is on a
+    vertex, the source count or a vertex pair, so one key's graphs agree.
     """
     d = params.d
     base, subsets = _decompositions(params, subdiagonal_box_count(params))
     skels = [[d * x for x in skeleton(s).sorted_values] for s in base]
-    seen, forms = set(), set()
+    classes = set()
     for chosen, delta in subsets:
-        data = gluing_data(params, sorted([x + d * shift + r for r, (k, shift)
-                                           in enumerate(chosen) for x in skels[k]]))
-        if data not in seen:
-            seen.add(data)
-            forms.add(canonical_form(checked_graph(delta, *data)))
-    return len(forms)
+        labels, levels = gluing_data(params, sorted([x + d * shift + r for r, (k, shift)
+                                                     in enumerate(chosen) for x in skels[k]]))
+        key = tuple(sorted(zip(labels, levels)))
+        if key not in classes:
+            classes.add(key)
+            checked_graph(delta, labels, levels)
+    return len(classes)

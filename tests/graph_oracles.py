@@ -2,10 +2,11 @@
 labels and levels determine, the edge-based levels and canonical form that
 LabeledDigraph used before it took levels as input, the canonical form as
 json.dumps writes it, one periodic window and one window removal by
-definition, and seeded paths past desk scale."""
+definition, seeded paths past desk scale, and ratcat's lru caches."""
 
 import json
 import random
+import sys
 
 from ratcat import DyckPath, GridParams, LabeledDigraph, NotBalanced
 from ratcat.invset import invset_from_skeleton
@@ -132,3 +133,21 @@ def sampled_paths():
                                 GridParams(1, 1, 40), GridParams(5, 3, 6),
                                 GridParams(2, 1, 30)]):
         yield from seeded_paths(params, 40, seed=k)
+
+
+def ratcat_caches():
+    """Every lru cache held by a ratcat module: each module attribute with a
+    cache_clear, once each, as the benchmark finds the caches it clears."""
+    caches = {}
+    for key, mod in list(sys.modules.items()):
+        if key == "ratcat" or key.startswith("ratcat."):
+            for value in vars(mod).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    caches[id(value)] = value
+    return list(caches.values())
+
+
+def clear_caches():
+    """Empty every ratcat lru cache, so the next call computes afresh."""
+    for cache in ratcat_caches():
+        cache.cache_clear()
