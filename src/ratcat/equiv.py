@@ -232,24 +232,21 @@ def gluing_data(params: GridParams, values) -> tuple[tuple, tuple[int, ...]]:
             tuple([(i + ai) % d for i, ai in enumerate(a)]))
 
 
-def checked_graph(delta: InvariantSet, labels, levels) -> LabeledDigraph:
-    """delta's gluing graph, fully validated; a fault names delta and the data."""
+def build_graph(delta: InvariantSet) -> LabeledDigraph:
+    """The gluing data of an invariant subset (the map into T^d_{n,m}): the
+    gluing_data of its skeleton, whose graph's validation orients the meeting
+    labels up the levels and checks that they are its longest-path levels.
+    A fault of that validation names delta and the data.
+    """
+    if not delta.normalized:
+        raise NotNormalized("gluing data requires a 0-normalized subset")
     p = delta.params
+    labels, levels = gluing_data(p, skeleton(delta).sorted_values)
     try:
         return LabeledDigraph(p.n, p.m, labels, levels)
     except InvalidGraph as exc:
         raise InvariantViolation(f"gluing data of {delta.gen} (labels {labels}, levels "
                                  f"{levels}) is invalid: {exc}") from exc
-
-
-def build_graph(delta: InvariantSet) -> LabeledDigraph:
-    """The gluing data of an invariant subset (the map into T^d_{n,m}): the
-    gluing_data of its skeleton, whose graph's validation orients the meeting
-    labels up the levels and checks that they are its longest-path levels.
-    """
-    if not delta.normalized:
-        raise NotNormalized("gluing data requires a 0-normalized subset")
-    return checked_graph(delta, *gluing_data(delta.params, skeleton(delta).sorted_values))
 
 
 def canonical_form(graph: LabeledDigraph) -> bytes:

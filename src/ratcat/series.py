@@ -11,12 +11,13 @@ exponential-formula path counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 
-from .equiv import checked_graph, gluing_data
-from .errors import FormulaMismatch
+from .equiv import LabeledDigraph, minimal_representative
+from .errors import FormulaMismatch, InvalidGraph, InvariantViolation, LimitExceeded
 from .invset import InvariantSet, dinv_invset, gap, invset_from_path_coprime, skeleton
-from .lattice import GridParams, area, enumerate_paths, subdiagonal_box_count
+from .lattice import GridParams, area, enumerate_paths
 from .sweep import dinv_sweep
 
 
@@ -121,12 +122,17 @@ def qt_catalan(params: GridParams) -> QTPoly:
     return out
 
 
-def _decompositions(params: GridParams, budget: int):
-    """The 0-normalized coprime components, one per (n, m)-Dyck path, and each
-    subset with gap <= budget with its (component index, shift) per class r:
-    the union of d*(component + shift) + r, class 0 unshifted.  Depth-first,
-    children pushed in reverse to pop in lexicographic order; a stack, as the
-    depth is d."""
+def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantSet]:
+    """All 0-normalized invariant subsets with gap <= budget, each once.
+
+    Enumerated through the residue decomposition: the component of class
+    0 is a 0-normalized coprime subset, every other class contributes a
+    0-normalized coprime subset plus a non-negative shift, and gap is
+    the sum of shifts and component gaps.  Part r of a subset is the union
+    of d*(component + shift) + r.  Depth-first over the (component index,
+    shift) per class, children pushed in reverse to pop in lexicographic
+    order; a stack, as the depth is d.
+    """
     d, N = params.d, params.N
     base = [invset_from_path_coprime(path)
             for path in enumerate_paths(GridParams(params.n, params.m, 1))]
@@ -140,24 +146,13 @@ def _decompositions(params: GridParams, budget: int):
                 for g in base[k].gen:
                     val = d * (g + shift) + c
                     gen[val % N] = val
-            out.append((chosen, InvariantSet(params, tuple(gen))))
+            out.append(InvariantSet(params, tuple(gen)))
             continue
         stack.extend(reversed([
             (r + 1, left - g - shift, chosen + ((k, shift),))
             for k, g in enumerate(gaps) if g <= left
             for shift in ((0,) if r == 0 else range(left - g + 1))]))
-    return base, out
-
-
-def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantSet]:
-    """All 0-normalized invariant subsets with gap <= budget, each once.
-
-    Enumerated through the residue decomposition: the component of class
-    0 is a 0-normalized coprime subset, every other class contributes a
-    0-normalized coprime subset plus a non-negative shift, and gap is
-    the sum of shifts and component gaps.
-    """
-    return [delta for _, delta in _decompositions(params, budget)[1]]
+    return out
 
 
 def C_series(params: GridParams, q_cutoff: int) -> QTSeries:
@@ -168,33 +163,45 @@ def C_series(params: GridParams, q_cutoff: int) -> QTSeries:
     return QTSeries(poly, q_cutoff)
 
 
-def _tuple_stat(a: tuple[int, ...]) -> int:
-    """Number of pairs i < j with a_i = a_j or a_j = a_i + 1."""
-    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a))
-               if a[i] == a[j] or a[j] == a[i] + 1)
+def _tuple_stat(a) -> int:
+    """Number of pairs i < j with a_i = a_j or a_j = a_i + 1: each a_j counts
+    the earlier entries equal to a_j or a_j - 1."""
+    seen: dict[int, int] = {}
+    total = 0
+    for x in a:
+        total += seen.get(x, 0) + seen.get(x - 1, 0)
+        seen[x] = seen.get(x, 0) + 1
+    return total
+
+
+F_LIMIT = 200_000
 
 
 def F_series(n: int, deg_cutoff: int, restricted: bool = False) -> QTSeries:
     """Torus-link homology series: sum of q^(sum a) t^d(a) over a in Z_{>=0}^n.
 
     The restricted variant fixes a_n = 0, which multiplies the full
-    series by (1 - q).
+    series by (1 - q).  The f = n (or n - 1) free entries with sum at most
+    the cutoff c are stars and bars: positions b_1 < ... < b_f in
+    range(c + f) give a_i = b_i - b_(i-1) - 1, with b_0 = -1.  So there are
+    C(c + f, f) tuples, each built and scored in O(n) steps, and n times
+    that count is the work: above F_LIMIT it raises LimitExceeded, before
+    any tuple is built.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    poly = QTPoly()
+    if deg_cutoff < 0:
+        raise ValueError(f"the cutoff must be at least 0, got {deg_cutoff}")
     free = n - 1 if restricted else n
-
-    # depth-first over (head, degree left), children pushed in reverse so
-    # they pop in order; an explicit stack, since the depth is n
-    stack = [((), deg_cutoff)]
-    while stack:
-        head, left = stack.pop()
-        if len(head) == free:
-            a = head + (0,) if restricted else head
-            poly.add_term(deg_cutoff - left, _tuple_stat(a))
-            continue
-        stack.extend((head + (k,), left - k) for k in range(left, -1, -1))
+    # C(c + f, k) for k = min(c, f) is at least C(2k, k) >= 2**k
+    k = min(deg_cutoff, free)
+    if k >= F_LIMIT.bit_length() or n * comb(deg_cutoff + free, k) > F_LIMIT:
+        raise LimitExceeded(f"the {n}-tuples through q^{deg_cutoff} exceed the limit "
+                            f"of {F_LIMIT} tuple entries")
+    poly = QTPoly()
+    for bars in combinations(range(deg_cutoff + free), free):
+        a = [b - p - 1 for p, b in zip((-1, *bars), bars)] + [0] * (n - free)
+        poly.add_term(sum(a), _tuple_stat(a))
     return QTSeries(poly, deg_cutoff)
 
 
@@ -215,34 +222,94 @@ def springer_poincare(n: int, m: int) -> QTPoly:
     return by_dinv
 
 
+FUSS_LIMIT = 10_000
+
+
 def fuss_catalan(N: int, k: int) -> int:
-    """((k+1)N)! / ((kN+1)! N!), the count of dominant k-Shi regions."""
+    """((k+1)N)! / ((kN+1)! N!), the count of dominant k-Shi regions.
+
+    The result is at most C((k+1)N, N) < 2^((k+1)N), so (k+1)N bounds its
+    bits: above FUSS_LIMIT it raises LimitExceeded, before any factorial.
+    """
     if N < 1 or k < 1:
         raise ValueError("N and k must be positive")
+    if (k + 1) * N > FUSS_LIMIT:
+        raise LimitExceeded(f"(k+1)N = {(k + 1) * N} exceeds the limit {FUSS_LIMIT}")
     return factorial((k + 1) * N) // (factorial(k * N + 1) * factorial(N))
 
 
-def count_equivalence_classes(params: GridParams) -> int:
-    """Number of distinct gluing digraphs over all invariant subsets.
+def _reverse_search(params: GridParams):
+    """(labels, levels) of every valid gluing graph with at most d vertices,
+    each once, vertices in the order added: the search of
+    count_equivalence_classes, depth-first on a stack."""
+    n, m, d = params.n, params.m, params.d
+    skels = [skeleton(invset_from_path_coprime(path)).sorted_values
+             for path in enumerate_paths(GridParams(n, m, 1))]
+    stack = [((skel,), (0,)) for skel in reversed(skels)]
+    while stack:
+        labels, levels = stack.pop()
+        yield labels, levels
+        if len(labels) == d:
+            continue
+        high: dict[int, int] = {}  # each label value -> the highest level holding it
+        for label, f in zip(labels, levels):
+            for x in label:
+                if high.get(x, -1) < f:
+                    high[x] = f
+        top, last = (levels[-1], labels[-1]), max(high)
+        for skel in skels:
+            for s in range(last - skel[0] + 1):
+                label = tuple([x + s for x in skel])
+                f = 1 + max([high[x] for x in label if x in high], default=-1)
+                if f and (f, label) > top:
+                    stack.append((labels + (label,), levels + (f,)))
 
-    One enumeration at gap budget subdiagonal_box_count(params) meets
-    every class: the least gap in a class equals the area of the class's
-    glued Dyck path, and no area exceeds the sub-diagonal box count.
-    Every subset is assembled as a validated InvariantSet, while its
-    skeleton part r is read off as d*(skeleton(component) + shift) + r, with
-    the component skeletons computed once.  A class is its sorted (label, level)
-    vertices, canonical_form's key, and is validated once: each check is on a
-    vertex, the source count or a vertex pair, so one key's graphs agree.
+
+def class_graphs(params: GridParams):
+    """The gluing graph of each equivalence class, each once, checked as
+    count_equivalence_classes says; a fault is an InvariantViolation that
+    names the labels and levels."""
+    n, m, d = params.n, params.m, params.d
+    for labels, levels in _reverse_search(params):
+        if len(labels) == d:
+            try:
+                graph = LabeledDigraph._trusted(n, m, labels, levels)
+                minimal_representative(graph)
+            except (InvalidGraph, InvariantViolation) as exc:
+                raise InvariantViolation(f"census graph (labels {labels}, levels {levels}) "
+                                         f"is invalid: {exc}") from exc
+            yield graph
+
+
+def count_equivalence_classes(params: GridParams) -> int:
+    """Number of equivalence classes of invariant subsets: the valid gluing
+    graphs with d vertices, counted by reverse search over the graphs
+    (Avis and Fukuda, Reverse search for enumeration, Discrete Appl. Math.
+    65, 1996), with no subset enumerated.
+
+    A graph is its (label, level) vertices, all distinct, as equal labels
+    meet and meeting vertices differ in level.  Its top vertex is the
+    greatest by (level, label), and its parent is the graph without it.
+    The parent is valid: the top lies on the highest level, so every vertex
+    it meets lies below it and no other vertex leans on it.  The roots are
+    the one-vertex graphs, a 0-normalized coprime skeleton on level 0.  A
+    graph's children add a label L = skeleton + s, s >= 0, that meets some
+    vertex, on level f = 1 + the highest level that L meets, when (f, L)
+    is above the top.  Each child is valid, with the new vertex its top,
+    and each valid graph of more than one vertex is the child of its parent
+    this way: its top label is non-negatively normalized, so it is a
+    0-normalized skeleton plus its least element s >= 0; it meets some
+    vertex, as a second vertex of level 0 cannot be; and its level is 1 +
+    the highest level it meets, as it meets one a level below and all of
+    them lie below it.  So every valid graph is visited once, and the
+    search stops at depth d.  L meets a vertex only while s <= (the highest
+    label value) - min(skeleton), the loop's bound.
+
+    Each graph with d vertices is built by LabeledDigraph._trusted, as each
+    vertex lies 1 + the highest level of the earlier ones it meets, and
+    minimal_representative certifies it by _shifting_fault: it is the
+    gluing data of a 0-normalized subset, so every class counted holds one.
+    That each subset's gluing data validates, the other direction, is
+    checked by verify and by the tests' subset census.
     """
-    d = params.d
-    base, subsets = _decompositions(params, subdiagonal_box_count(params))
-    skels = [[d * x for x in skeleton(s).sorted_values] for s in base]
-    classes = set()
-    for chosen, delta in subsets:
-        labels, levels = gluing_data(params, sorted([x + d * shift + r for r, (k, shift)
-                                                     in enumerate(chosen) for x in skels[k]]))
-        key = tuple(sorted(zip(labels, levels)))
-        if key not in classes:
-            classes.add(key)
-            checked_graph(delta, labels, levels)
-    return len(classes)
+    return sum(1 for _ in class_graphs(params))

@@ -33,12 +33,12 @@ from .invset import (
     skeleton,
 )
 from .lattice import (ENUM_LIMIT, DyckPath, GridParams, area, bizley_count,
-                      enumerate_paths, parse_path)
+                      enumerate_paths, parse_path, subdiagonal_box_count)
 from .series import (
     C_series,
     F_series,
     QTPoly,
-    count_equivalence_classes,
+    class_graphs,
     enumerate_invsets_by_gap,
     fuss_catalan,
     qt_catalan,
@@ -166,11 +166,19 @@ def suite_counting(max_size=14):
         count = len(enumerate_paths(params))
         yield (f"|Y_({params.N},{params.M})| = Bizley",
                count == bizley_count(params.n, params.m, params.d), str(count))
-    for (n, m, d) in [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (3, 2, 2)]:
+    # the search's classes are distinct and Bizley many; on the subset grids
+    # they are exactly the classes of the subsets' gluing data
+    subset_grids = [(1, 1, 2), (2, 1, 2), (1, 2, 2), (1, 1, 3), (1, 2, 3), (3, 2, 2)]
+    for (n, m, d) in [*subset_grids, (3, 2, 4), (1, 1, 10)]:
         params = GridParams(n, m, d)
-        classes = count_equivalence_classes(params)
+        forms = [canonical_form(graph) for graph in class_graphs(params)]
+        odd = []
+        if (n, m, d) in subset_grids:
+            subsets = enumerate_invsets_by_gap(params, subdiagonal_box_count(params))
+            odd = sorted({canonical_form(build_graph(delta)) for delta in subsets} ^ set(forms))
         yield (f"class census ({params.N},{params.M})",
-               classes == bizley_count(n, m, d), f"{classes} classes")
+               len(forms) == len(set(forms)) == bizley_count(n, m, d) and not odd,
+               f"{len(forms)} classes" + (f", subsets differ at {odd[0].decode()}" if odd else ""))
     for (n, m, d), (N, k) in [((1, 1, 2), (2, 1)), ((1, 2, 2), (2, 2)),
                               ((1, 1, 3), (3, 1)), ((1, 2, 3), (3, 2))]:
         c = fuss_catalan(N, k)

@@ -1,14 +1,24 @@
 """Gluing oracles shared by the tests: the edges and source that the
 labels and levels determine, the edge-based levels and canonical form that
 LabeledDigraph used before it took levels as input, the canonical form as
-json.dumps writes it, one periodic window and one window removal by
-definition, seeded paths past desk scale, and ratcat's lru caches."""
+json.dumps writes it, the class census by subsets, one periodic window and
+one window removal by definition, seeded paths past desk scale, and
+ratcat's lru caches."""
 
 import json
 import random
 import sys
 
-from ratcat import DyckPath, GridParams, LabeledDigraph, NotBalanced
+from ratcat import (
+    DyckPath,
+    GridParams,
+    LabeledDigraph,
+    NotBalanced,
+    build_graph,
+    canonical_form,
+    enumerate_invsets_by_gap,
+    subdiagonal_box_count,
+)
 from ratcat.invset import invset_from_skeleton
 
 
@@ -79,6 +89,14 @@ def json_canonical_form(graph):
     pairs = sorted(zip(graph.labels, graph.levels))
     payload = {"labels": [list(lbl) for lbl, _ in pairs], "levels": [f for _, f in pairs]}
     return json.dumps(payload, separators=(",", ":")).encode("ascii")
+
+
+def subset_class_forms(params):
+    """The class census by subsets: the canonical forms of the gluing data of
+    every 0-normalized subset with gap at most the sub-diagonal box count,
+    which bounds the least gap of every class."""
+    return {canonical_form(build_graph(delta))
+            for delta in enumerate_invsets_by_gap(params, subdiagonal_box_count(params))}
 
 
 def window(periodic, r):

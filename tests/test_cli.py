@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,41 @@ def test_sweep_zeta(capsys):
 def test_count_fuss(capsys):
     code, out, _ = run(capsys, "count", "fuss", "--N", "2", "--k", "2")
     assert code == 0 and out.strip() == "3"
+
+
+F_OVER = "error: the {}-tuples through q^{} exceed the limit of 200000 tuple entries\n"
+FUSS_OVER = "error: (k+1)N = {} exceeds the limit 10000\n"
+
+
+@pytest.mark.parametrize("argv, out, err", [
+    # series F: n times C(cutoff + free, free) tuple entries, at most 200000
+    (("series", "F", "--size", "1", "--cutoff", "199999"), "exact through q^199999: 1 + q + ", ""),
+    (("series", "F", "--size", "200000", "--cutoff", "0"), "exact through q^0: t^19999900000\n",
+     ""),
+    (("series", "F", "--size", "1", "--restricted", "--cutoff", "1000000"),
+     "exact through q^1000000: 1\n", ""),
+    (("series", "F", "--size", "1", "--cutoff", "200000"), "", F_OVER.format(1, 200000)),
+    (("series", "F", "--size", "200001", "--cutoff", "0"), "", F_OVER.format(200001, 0)),
+    (("series", "F", "--cutoff", "1000000"), "", F_OVER.format(2, 1000000)),
+    (("series", "F", "--size", "1000000", "--cutoff", "0"), "", F_OVER.format(1000000, 0)),
+    (("series", "F", "--size", "1000000", "--cutoff", "1000000"), "",
+     F_OVER.format(1000000, 1000000)),
+    (("series", "F", "--size", "12", "--cutoff", "30"), "", F_OVER.format(12, 30)),
+    # count fuss: the result has fewer than (k+1)N <= 10000 bits
+    (("count", "fuss", "--N", "1", "--k", "9999"), "1\n", ""),
+    (("count", "fuss", "--N", "5000", "--k", "1"), "31829439382772224521847575957638", ""),
+    (("count", "fuss", "--N", "1", "--k", "10000"), "", FUSS_OVER.format(10001)),
+    (("count", "fuss", "--N", "1000000"), "", FUSS_OVER.format(2000000)),
+    (("count", "fuss", "--N", "1", "--k", "1000000"), "", FUSS_OVER.format(1000001)),
+    (("count", "fuss", "--N", "100000", "--k", "100000"), "", FUSS_OVER.format(10000100000)),
+])
+def test_bounded_work_at_and_past_the_limit(capsys, argv, out, err):
+    # each run ends in well under 5 s: an answer at the limit, exit 1 past it
+    start = time.perf_counter()
+    code, got_out, got_err = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, got_err) == ((1, err) if err else (0, ""))
+    assert got_out.startswith(out) and (got_out == "") == (out == "")
 
 
 def test_count_bizley(capsys):

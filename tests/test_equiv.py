@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -43,6 +44,7 @@ from graph_oracles import (
     oracle_canonical_form,
     oracle_levels,
     sampled_paths,
+    subset_class_forms,
 )
 
 P128 = GridParams(3, 2, 4)
@@ -609,28 +611,34 @@ def test_adjacent_bounds_have_the_full_feasible_set():
 
 
 def test_census_forms_are_the_build_graph_forms(monkeypatch):
-    # the census sees exactly build_graph's classes, validates every subset it
-    # assembles, and validates each class once: one graph per canonical form
+    # the search certifies exactly the classes of the subsets' build_graph data,
+    # each once, and Bizley many
     import ratcat.series as series
-    real_invset = series.InvariantSet
-    real_check = LabeledDigraph.__post_init__
+    real = series.minimal_representative
     for grid in CENSUS_GRIDS:
         params = GridParams(*grid)
-        deltas = census_subsets(params)
-        graphs = [build_graph(delta) for delta in deltas]
-        assembled, checked = [], []
+        certified = []
         with monkeypatch.context() as mp:
-            mp.setattr(series, "InvariantSet", lambda params, gen:
-                       assembled.append(real_invset(params, gen)) or assembled[-1])
-            mp.setattr(LabeledDigraph, "__post_init__",
-                       lambda graph: checked.append(graph) or real_check(graph))
+            mp.setattr(series, "minimal_representative",
+                       lambda graph: certified.append(graph) or real(graph))
             classes = count_equivalence_classes(params)
-        assert [delta.gen for delta in assembled] == [delta.gen for delta in deltas], grid
-        forms = [canonical_form(graph) for graph in checked]
-        assert set(forms) == {canonical_form(graph) for graph in graphs}, grid
+        forms = [canonical_form(graph) for graph in certified]
+        assert set(forms) == subset_class_forms(params), grid
         assert len(forms) == len(set(forms)) == classes == bizley_count(*grid), grid
-        if grid == (1, 1, 4):  # 39 distinct (labels, levels) fall into 14 classes
-            assert (len(checked), len({(g.labels, g.levels) for g in graphs})) == (14, 39)
+
+
+@pytest.mark.parametrize("grid", [(1, 1, 6), (3, 2, 3), (2, 1, 5), (5, 2, 2)])
+def test_search_visits_bizley_many_graphs_at_each_depth(grid):
+    # the valid graphs with k vertices are the classes of (n, m, k), so the
+    # search stops at depth d after a proven number of graphs; each graph it
+    # visits passes the full validation, meet test included
+    import ratcat.series as series
+    n, m, d = grid
+    depths = collections.Counter()
+    for labels, levels in series._reverse_search(GridParams(*grid)):
+        LabeledDigraph(n, m, labels, levels)
+        depths[len(labels)] += 1
+    assert depths == {k: bizley_count(n, m, k) for k in range(1, d + 1)}
 
 
 def oracle_enumeration(params, budget):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -76,16 +77,44 @@ def test_F_series_golden():
     assert F_series(1, 2).poly == QTPoly({(0, 0): 1, (1, 0): 1, (2, 0): 1})
 
 
+def pair_stat(a):
+    """Number of pairs i < j with a_i = a_j or a_j = a_i + 1, pair by pair."""
+    return sum(1 for i in range(len(a)) for j in range(i + 1, len(a))
+               if a[i] == a[j] or a[j] == a[i] + 1)
+
+
 def test_F_series_matches_brute_force():
     from itertools import product
-    from ratcat.series import _tuple_stat
     for n in range(1, 5):
         for restricted in (False, True):
             expected = QTPoly()
             for a in product(range(6), repeat=n):
                 if sum(a) <= 5 and (a[-1] == 0 or not restricted):
-                    expected.add_term(sum(a), _tuple_stat(a))
+                    expected.add_term(sum(a), pair_stat(a))
             assert F_series(n, 5, restricted=restricted).poly == expected
+
+
+def test_tuple_stat_counts_the_pairs():
+    import random
+    from ratcat.series import _tuple_stat
+    rng = random.Random(12)
+    for _ in range(2000):
+        a = [rng.randrange(6) for _ in range(rng.randint(0, 12))]
+        assert _tuple_stat(a) == pair_stat(a), a
+
+
+def test_F_series_and_fuss_catalan_refuse_past_their_limits():
+    from ratcat.series import F_LIMIT, FUSS_LIMIT
+    assert F_series(F_LIMIT, 0).poly == QTPoly({(0, F_LIMIT * (F_LIMIT - 1) // 2): 1})
+    for n, cutoff in [(F_LIMIT + 1, 0), (1, F_LIMIT), (10**6, 10**6), (30, 30)]:
+        with pytest.raises(LimitExceeded, match=rf"^the {n}-tuples through q\^{cutoff} exceed"):
+            F_series(n, cutoff)
+    # a negative cutoff has no tuples (restricted size 1 once gave the term 1)
+    with pytest.raises(ValueError, match=r"^the cutoff must be at least 0, got -1$"):
+        F_series(1, -1, restricted=True)
+    assert fuss_catalan(FUSS_LIMIT // 2, 1) > 2 ** (FUSS_LIMIT - 30)
+    with pytest.raises(LimitExceeded, match=rf"^\(k\+1\)N = {FUSS_LIMIT + 1} exceeds"):
+        fuss_catalan(1, FUSS_LIMIT)
 
 
 def test_F_series_cyclic_shift():
@@ -138,37 +167,59 @@ def test_fuss_catalan():
 
 def test_class_counts():
     cases = {(1, 1, 2): 2, (2, 1, 2): 3, (1, 2, 2): 3, (1, 1, 3): 5,
-             (1, 1, 5): 42, (3, 2, 3): 377}
+             (1, 1, 5): 42, (3, 2, 3): 377, (2, 3, 3): 377, (5, 2, 2): 76,
+             (2, 1, 5): 273, (3, 2, 4): 7229}
     for (n, m, d), expected in cases.items():
         params = GridParams(n, m, d)
         assert count_equivalence_classes(params) == expected
         assert expected == bizley_count(n, m, d)
+    start = time.perf_counter()  # 296 010 subsets would take seconds
+    assert count_equivalence_classes(GridParams(1, 1, 7)) == 429
+    assert time.perf_counter() - start < 0.5
     assert fuss_catalan(2, 2) == count_equivalence_classes(GridParams(1, 2, 2))
 
 
 def test_forged_census_data_is_an_invariant_violation(monkeypatch):
+    import ratcat.equiv as equiv
     import ratcat.series as series
-    real = series.gluing_data  # forged to put every vertex on level 0
-    monkeypatch.setattr(series, "gluing_data",
-                        lambda params, values: (real(params, values)[0], (0,) * params.d))
+    real = series._reverse_search  # forged to put every vertex on level 0
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "_reverse_search", lambda params: (
+            (labels, (0,) * len(labels)) for labels, _ in real(params)))
+        with pytest.raises(InvariantViolation) as exc:
+            count_equivalence_classes(P22)
+    assert str(exc.value) == ("census graph (labels ((-1, 0), (0, 1)), levels (0, 0)) is invalid: "
+                              "level-0 vertices [0, 1], expected exactly one")
+    assert isinstance(exc.value.__cause__, InvalidGraph)
+    # a forged certificate: minimal_representative's fault, named with the graph
+    monkeypatch.setattr(equiv, "_shifting_fault", lambda values, p: "forged")
     with pytest.raises(InvariantViolation) as exc:
         count_equivalence_classes(P22)
-    assert str(exc.value) == ("gluing data of (0, 1) (labels ((-1, 0), (-1, 0)), levels (0, 0)) "
-                              "is invalid: level-0 vertices [0, 1], expected exactly one")
-    assert isinstance(exc.value.__cause__, InvalidGraph)
+    assert str(exc.value) == ("census graph (labels ((-1, 0), (0, 1)), levels (0, 1)) is invalid: "
+                              "the shifting (0, 0) that the levels of ((-1, 0), (0, 1)) predict "
+                              "is not minimal: forged")
+    assert isinstance(exc.value.__cause__, InvariantViolation)
 
 
 def test_forged_census_data_raises_under_optimize():
     # under -O the trailing assert is stripped, which shows -O is in effect
     script = textwrap.dedent("""
+        import ratcat.equiv as equiv
         import ratcat.series as series
         from ratcat import GridParams, InvariantViolation
-        real = series.gluing_data
-        series.gluing_data = lambda params, values: (real(params, values)[0], (0,) * params.d)
+        real = series._reverse_search
+        series._reverse_search = lambda params: (
+            (labels, (0,) * len(labels)) for labels, _ in real(params))
         try:
             print("count", series.count_equivalence_classes(GridParams(1, 1, 3)))
         except InvariantViolation as exc:
-            print("raised", type(exc).__name__)
+            print("raised", "levels (0, 0, 0)" in str(exc))
+        series._reverse_search = real
+        equiv._shifting_fault = lambda values, p: "forged"
+        try:
+            print("count", series.count_equivalence_classes(GridParams(1, 1, 3)))
+        except InvariantViolation as exc:
+            print("raised", str(exc).endswith("is not minimal: forged"))
         assert False
         print("optimized")
     """)
@@ -178,4 +229,4 @@ def test_forged_census_data_raises_under_optimize():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["raised", "InvariantViolation", "optimized"]
+    assert out.stdout.split() == ["raised", "True", "raised", "True", "optimized"]
