@@ -345,12 +345,13 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     order = sorted(range(d), key=graph.levels.__getitem__)
     values = []
     for i, v in enumerate(order):
-        values.extend(d * x + i for x in graph.labels[v])
+        values.extend([d * x + i for x in graph.labels[v]])
     values.sort()
     params = GridParams(graph.n, graph.m, d)
-    gen = [None] * params.N
+    N = params.N
+    gen = [None] * N
     for x in values:  # increasing, so each class keeps its last value
-        gen[x % params.N] = x
+        gen[x % N] = x
     try:
         delta = InvariantSet(params, gen)
     except ValueError as exc:

@@ -218,11 +218,17 @@ def _peel(path: DyckPath, ranks: list[int]):
 
     The points not yet removed sit on a stack.  While the top n+m+1 start
     and end at one rank they form a balanced window, with n+m distinct
-    ranks (each step adds n mod n+m, a unit).  Each balanced window that
-    closed earlier was popped, so this one is the first left and is good:
-    the stack holds its start rank twice and its other ranks once, or the
-    ranks are forged and it raises.  It is popped to its end point; its
-    round is 1 + the highest round popped at its ranks.
+    ranks (each step adds n mod n+m, a unit), held by its points before its
+    end e.  It is good: its periodic path holds exactly the points of its
+    ranks, and no lower point holds one, so it is popped with no check.
+    Once a point's own pops end, no window closes at it, and the points
+    below it never change while it stays.  Stack neighbours differ in rank
+    by a step (see below), so a lower point p of the rank of a window point
+    w < e would start a stretch to w of k*(n+m) steps with k*m 'h', as its
+    rank change is 0; its k tiles of n+m steps average m 'h', and a tile
+    slid one step changes its count by at most 1, so a balanced window
+    would have closed at or before w, below the top.  The window is popped
+    to its end point; its round is 1 + the highest round popped at its ranks.
     This matches removing all good intervals round by round, because
     1. good windows never overlap: if W starts at r and V at s, with
        r < s < r+n+m, V holds point r+n+m, of rank ranks[r], before V;
@@ -242,26 +248,23 @@ def _peel(path: DyckPath, ranks: list[int]):
     m*#v with #h + #v = n+m and gcd(n, m) = 1 gives n 'v'.  The coloring,
     a window per color, needs no check.  A rank stack beside the stack of
     positions slices out each window's ranks, yielded sorted as its label.
+    Forged ranks, whose steps are not n or -m, void the proof, and _peel
+    does not check them: in unglue a window whose ranks are no skeleton
+    fails the label check of LabeledDigraph._trusted, and points left on
+    the stack end the pass with "no good interval left", InvariantViolations.
     """
     width = path.params.n + path.params.m
-    held = [0] * (max(ranks) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
-    top = held.copy()  # the highest round removed so far, by rank
+    top = [0] * (max(ranks) + path.params.m + 1)  # highest round popped, by rank: -m..-1 wrap
     stack: list[int] = []
     stack_ranks: list[int] = []  # ranks[z] for each z on the stack
     for z, r in enumerate(ranks):
         stack.append(z)
         stack_ranks.append(r)
-        held[r] += 1
         while len(stack) > width and stack_ranks[-width - 1] == r:
             window = stack[-width - 1:-1]
             window_ranks = stack_ranks[-width - 1:-1]
-            if sum(map(held.__getitem__, window_ranks)) != width + 1:
-                shared = next(k for k in window_ranks if held[k] > 1 + (k == r))
-                raise InvariantViolation(f"balanced window at steps {window} of {path.steps!r}"
-                                         f" shares rank {shared} with a lower point")
             level = 1 + max(map(top.__getitem__, window_ranks))
             for k in window_ranks:
-                held[k] -= 1
                 top[k] = level
             del stack[-width - 1:-1]
             del stack_ranks[-width - 1:-1]

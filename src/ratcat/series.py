@@ -122,6 +122,23 @@ def qt_catalan(params: GridParams) -> QTPoly:
     return out
 
 
+C_LIMIT = 100_000  # subsets; verify, the tests, the demos and the benchmark ask for <= 1766
+
+
+def _subset_count(gaps: list[int], d: int, budget: int) -> int:
+    """The subsets with gap <= budget, as enumerate_invsets_by_gap lists them:
+    sum_j [q^j]A^d * C(budget - j + d - 1, d - 1) over j <= budget, with A(q)
+    the sum of q^gap over the coprime subsets, of these gaps, and the
+    binomial the d - 1 shifts of sum <= budget - j."""
+    a = [gaps.count(g) for g in range(min(budget, max(gaps)) + 1)]
+    power = [1]  # A^r through q^budget
+    for _ in range(d):
+        power = [sum(power[t - g] * a[g]
+                     for g in range(max(0, t + 1 - len(power)), min(t, len(a) - 1) + 1))
+                 for t in range(min(budget, len(power) + len(a) - 2) + 1)]
+    return sum(c * comb(budget - j + d - 1, d - 1) for j, c in enumerate(power))
+
+
 def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantSet]:
     """All 0-normalized invariant subsets with gap <= budget, each once.
 
@@ -132,11 +149,20 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
     of d*(component + shift) + r.  Depth-first over the (component index,
     shift) per class, children pushed in reverse to pop in lexicographic
     order; a stack, as the depth is d.
+
+    The subsets are counted first, by _subset_count after its lower bound
+    C(budget + d - 1, d - 1), as one coprime subset has gap 0, which keeps
+    A^d short; above C_LIMIT it raises LimitExceeded, building none.
     """
     d, N = params.d, params.N
     base = [invset_from_path_coprime(path)
             for path in enumerate_paths(GridParams(params.n, params.m, 1))]
     gaps = list(map(gap, base))
+    k = min(budget, d - 1)  # C(budget + d - 1, k) >= C(2k, k) >= 2**k
+    if (k >= C_LIMIT.bit_length() or comb(budget + d - 1, k) > C_LIMIT
+            or _subset_count(gaps, d, budget) > C_LIMIT):
+        raise LimitExceeded(f"the invariant subsets of the ({N},{params.M}) grid with gap "
+                            f"at most {budget} exceed the limit of {C_LIMIT} subsets")
     out, stack = [], [(0, budget, ())]
     while stack:
         r, left, chosen = stack.pop()

@@ -2,8 +2,8 @@
 labels and levels determine, the edge-based levels and canonical form that
 LabeledDigraph used before it took levels as input, the canonical form as
 json.dumps writes it, the class census by subsets, one periodic window and
-one window removal by definition, seeded paths past desk scale, and
-ratcat's lru caches."""
+one window removal by definition, the window peel that counts the ranks it
+holds, seeded paths past desk scale, and ratcat's lru caches."""
 
 import json
 import random
@@ -12,6 +12,7 @@ import sys
 from ratcat import (
     DyckPath,
     GridParams,
+    InvariantViolation,
     LabeledDigraph,
     NotBalanced,
     build_graph,
@@ -126,6 +127,36 @@ def remove_interval(path, r):
     if path.steps.count("v", r, r + width) != p.n:
         raise NotBalanced(f"steps [{r}, {r + width}) are not balanced")
     return DyckPath(GridParams(p.n, p.m, p.d - 1), path.steps[:r] + path.steps[r + width:])
+
+
+def peel_guarded(path, ranks):
+    """glue._peel with a per-rank count of the points on its stack: a window
+    closing on top must hold its start rank twice and its other ranks once,
+    or it raises, naming a rank shared with a lower point."""
+    width = path.params.n + path.params.m
+    held = [0] * (max(ranks) + path.params.m + 1)  # by rank: -m..-1 wrap to the end
+    top = held.copy()  # the highest round removed so far, by rank
+    stack, stack_ranks = [], []
+    for z, r in enumerate(ranks):
+        stack.append(z)
+        stack_ranks.append(r)
+        held[r] += 1
+        while len(stack) > width and stack_ranks[-width - 1] == r:
+            window = stack[-width - 1:-1]
+            window_ranks = stack_ranks[-width - 1:-1]
+            if sum(map(held.__getitem__, window_ranks)) != width + 1:
+                shared = next(k for k in window_ranks if held[k] > 1 + (k == r))
+                raise InvariantViolation(f"balanced window at steps {window} of {path.steps!r}"
+                                         f" shares rank {shared} with a lower point")
+            level = 1 + max(map(top.__getitem__, window_ranks))
+            for k in window_ranks:
+                held[k] -= 1
+                top[k] = level
+            del stack[-width - 1:-1]
+            del stack_ranks[-width - 1:-1]
+            yield level, tuple(sorted(window_ranks)), window
+    if len(stack) != 1:
+        raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
 
 
 def seeded_paths(params, count, seed):

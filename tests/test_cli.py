@@ -30,6 +30,8 @@ def test_count_fuss(capsys):
 
 F_OVER = "error: the {}-tuples through q^{} exceed the limit of 200000 tuple entries\n"
 FUSS_OVER = "error: (k+1)N = {} exceeds the limit 10000\n"
+C_OVER = ("error: the invariant subsets of the ({0},{0}) grid with gap at most {1} exceed "
+          "the limit of 100000 subsets\n")
 
 
 @pytest.mark.parametrize("argv, out, err", [
@@ -53,6 +55,13 @@ FUSS_OVER = "error: (k+1)N = {} exceeds the limit 10000\n"
     (("count", "fuss", "--N", "1000000"), "", FUSS_OVER.format(2000000)),
     (("count", "fuss", "--N", "1", "--k", "1000000"), "", FUSS_OVER.format(1000001)),
     (("count", "fuss", "--N", "100000", "--k", "100000"), "", FUSS_OVER.format(10000100000)),
+    # series C: at d = 2 on (1,1) the subsets with gap <= c are c + 1, at most 100000
+    (("series", "C", "--d", "2", "--cutoff", "99999"), "exact through q^99999: q + t + q^2", ""),
+    (("series", "C", "--d", "2", "--cutoff", "100000"), "", C_OVER.format(2, 100000)),
+    (("series", "C", "--d", "9", "--cutoff", "40"), "", C_OVER.format(9, 40)),
+    (("series", "C", "--d", "2", "--cutoff", "1000000"), "", C_OVER.format(2, 1000000)),
+    (("series", "C", "--d", "1000000", "--cutoff", "1000000"), "",
+     C_OVER.format(1000000, 1000000)),
 ])
 def test_bounded_work_at_and_past_the_limit(capsys, argv, out, err):
     # each run ends in well under 5 s: an answer at the limit, exit 1 past it

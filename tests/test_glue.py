@@ -46,6 +46,7 @@ from graph_oracles import (
     graph_from_edges,
     graph_source,
     json_canonical_form,
+    peel_guarded,
     remove_interval,
     sampled_paths,
     seeded_paths,
@@ -57,6 +58,7 @@ GREEN = (-2, -1, 0, 1, 2)
 RED = (4, 5, 6, 7, 8)
 ORANGE = (4, 6, 7, 8, 10)
 P32 = GridParams(3, 2, 1)
+FORGED_STAIR_RANKS = [-1, 0, 1, -1, 1, 0, -1]  # for hvhvhv, no rank walk: 1 -> -1 is no step
 
 
 def example_graph():
@@ -426,7 +428,7 @@ def test_components_match_diagram_oracle():
 
 def test_invariant_violation_survives_optimize():
     # under -O the trailing assert is stripped, which shows -O is in effect
-    script = textwrap.dedent("""
+    script = textwrap.dedent(f"""
         import ratcat.glue as glue
         from ratcat import GridParams, InvariantViolation, glue_all, parse_path, unglue
         graph = unglue(parse_path("hvhv", GridParams(1, 1, 2)))[0]
@@ -435,6 +437,11 @@ def test_invariant_violation_survives_optimize():
             glue_all(graph)
         except InvariantViolation as exc:
             print("raised", type(exc).__name__)
+        glue._point_ranks = lambda path: {FORGED_STAIR_RANKS}  # _peel trusts them
+        try:
+            unglue(parse_path("hvhvhv", GridParams(1, 1, 3)))
+        except InvariantViolation as exc:
+            print("raised", str(exc).endswith("[-1, 1] is not a skeleton"))
         assert False
         print("optimized")
     """)
@@ -444,7 +451,7 @@ def test_invariant_violation_survives_optimize():
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
-    assert out.stdout.split() == ["raised", "InvariantViolation", "optimized"]
+    assert out.stdout.split() == ["raised", "InvariantViolation", "raised", "True", "optimized"]
 
 
 def _runs_translate_by_coordinates(path, colors):
@@ -626,12 +633,26 @@ def test_unglue_failure_paths(monkeypatch):
     with pytest.raises(InvariantViolation,
                        match=f"^no good interval left while peeling {D.steps!r}$"):
         unglue(D)
-    # the window [1, -1, 1] closes on top but shares rank -1 with the start
+    # the window [1, -1, 1] closes on top but shares rank -1 with the start: _peel
+    # trusts it, and the graph's label check rejects the ranks it pops
     stair = DyckPath(GridParams(1, 1, 3), "hvhvhv")
-    monkeypatch.setattr(glue, "_point_ranks", lambda path: [-1, 0, 1, -1, 1, 0, -1])
+    monkeypatch.setattr(glue, "_point_ranks", lambda path: FORGED_STAIR_RANKS)
+    with pytest.raises(InvariantViolation) as exc:
+        unglue(stair)
+    assert str(exc.value) == ("ungluing 'hvhvhv' gave an invalid graph: "
+                              "label 2 is not a skeleton: [-1, 1] is not a skeleton")
+    assert isinstance(exc.value.__cause__, InvalidGraph)
+
+
+def test_peel_agrees_with_the_guarded_peel():
+    # on a path's own ranks the guard never fires, so dropping it changes nothing
+    for D in [*_paths_up_to(14), *sampled_paths()]:
+        ranks = glue._point_ranks(D)
+        assert list(glue._peel(D, ranks)) == list(peel_guarded(D, ranks)), D.steps
+    stair = DyckPath(GridParams(1, 1, 3), "hvhvhv")
     with pytest.raises(InvariantViolation, match=r"^balanced window at steps \[2, 3\] of "
                        "'hvhvhv' shares rank -1 with a lower point$"):
-        unglue(stair)
+        list(peel_guarded(stair, FORGED_STAIR_RANKS))
 
 
 def test_two_top_round_windows_are_an_invariant_violation(monkeypatch):

@@ -117,6 +117,22 @@ def test_F_series_and_fuss_catalan_refuse_past_their_limits():
         fuss_catalan(1, FUSS_LIMIT)
 
 
+def test_subset_count_is_exact_and_C_series_refuses_past_the_limit():
+    from ratcat.series import C_LIMIT, _subset_count
+    for (n, m, d) in [(1, 1, 3), (2, 1, 2), (3, 2, 2), (2, 3, 1), (1, 1, 4), (2, 1, 3)]:
+        params = GridParams(n, m, d)
+        gaps = [gap(s) for s in enumerate_invsets_by_gap(GridParams(n, m, 1), params.delta)]
+        for budget in range(9):
+            assert _subset_count(gaps, d, budget) == \
+                len(enumerate_invsets_by_gap(params, budget)), (params, budget)
+    # on (1,1,2) the subsets with gap <= c are c + 1: the limit, then one past it
+    assert len(enumerate_invsets_by_gap(P22, C_LIMIT - 1)) == C_LIMIT
+    for d, cutoff in [(2, C_LIMIT), (9, 40), (10**6, 10**6)]:
+        with pytest.raises(LimitExceeded, match=rf"^the invariant subsets of the \({d},{d}\) "
+                           rf"grid with gap at most {cutoff} exceed the limit of {C_LIMIT}"):
+            C_series(GridParams(1, 1, d), cutoff)
+
+
 def test_F_series_cyclic_shift():
     one_minus_q = QTPoly({(0, 0): 1, (1, 0): -1})
     for n in range(1, 5):
