@@ -7,7 +7,6 @@ from .errors import (
     FormulaMismatch,
     Infeasible,
     InvalidColoring,
-    InvalidCore,
     InvalidGraph,
     InvalidSkeleton,
     InvariantViolation,
@@ -23,7 +22,6 @@ from .lattice import (
     GridParams,
     area,
     bizley_count,
-    box_rank,
     enumerate_paths,
     parse_path,
     staircase_path,
@@ -44,14 +42,11 @@ from .invset import (
     gap,
     gaps,
     generators_n,
-    invset_from_core,
     invset_from_generators,
     invset_from_path_coprime,
     invset_from_skeleton,
     map_D_coprime,
     map_G,
-    natural_numbers,
-    semigroup,
     skeleton,
 )
 from .equiv import (
@@ -59,7 +54,6 @@ from .equiv import (
     ShiftBounds,
     build_graph,
     canonical_form,
-    equivalent,
     min_gap_in_class,
     minimal_representative,
     minimal_shifting,

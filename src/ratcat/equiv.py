@@ -170,8 +170,11 @@ class LabeledDigraph:
         return graph
 
     def _check_vertices(self):
-        """One source; every label a skeleton, normalized as the class says."""
-        labels, levels = self.labels, self.levels
+        """One source; every label a skeleton, by the memo coprime_from_skeleton,
+        and normalized as the class says.  A label's subset D has least element
+        label[0] + m: min(D) - m is a cogenerator, any other y has y + m in D,
+        and every generator is in D, so the least value is min(D) - m."""
+        n, m, labels, levels = self.n, self.m, self.labels, self.levels
         d = len(labels)
         if d < 1:
             raise InvalidGraph("need at least one vertex")
@@ -182,9 +185,10 @@ class LabeledDigraph:
             raise InvalidGraph(f"level-0 vertices {sources}, expected exactly one")
         for i, lbl in enumerate(labels):
             try:
-                low = _label_low(self.n, self.m, lbl)
+                coprime_from_skeleton(n, m, lbl)
             except InvalidSkeleton as exc:
                 raise InvalidGraph(f"label {i} is not a skeleton: {exc}") from exc
+            low = lbl[0] + m
             if low < 0:
                 raise InvalidGraph(f"label {i} not non-negatively normalized")
             if levels[i] == 0 and low != 0:
@@ -196,13 +200,6 @@ class LabeledDigraph:
 
     def to_jsonable(self) -> dict:
         return {"labels": [list(lbl) for lbl in self.labels], "levels": list(self.levels)}
-
-
-@lru_cache(maxsize=4096)
-def _label_low(n: int, m: int, label: tuple[int, ...]) -> int:
-    """Least element of the (n, m)-invariant subset with skeleton label, memoized;
-    a label that is no skeleton raises InvalidSkeleton on every call."""
-    return coprime_from_skeleton(n, m, label).min_element()
 
 
 def gluing_data(params: GridParams, values) -> tuple[tuple, tuple[int, ...]]:
@@ -364,13 +361,6 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         raise InvariantViolation(f"the shifting {predicted} that the levels of {graph.labels} "
                                  f"predict is not minimal: {fault}")
     return delta
-
-
-def equivalent(delta1: InvariantSet, delta2: InvariantSet) -> bool:
-    """Whether two subsets have the same gluing data up to isomorphism."""
-    if delta1.params != delta2.params:
-        raise ValueError("subsets must share the same grid parameters")
-    return canonical_form(build_graph(delta1)) == canonical_form(build_graph(delta2))
 
 
 def min_gap_in_class(delta: InvariantSet) -> int:

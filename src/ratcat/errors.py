@@ -37,10 +37,6 @@ class NotNormalized(DomainError):
     """Operation requires a 0-normalized invariant subset."""
 
 
-class InvalidCore(DomainError):
-    """Partition is not a core of the required type."""
-
-
 class Infeasible(DomainError):
     """Shift bounds admit no shifting: some part has no finite bound chain to part 0."""
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 from .errors import (
     DomainError,
     EmptyInput,
-    InvalidCore,
     InvalidSkeleton,
     InvariantViolation,
     NoIntersection,
@@ -125,16 +124,6 @@ def invset_from_generators(params: GridParams, gens) -> InvariantSet:
             raise EmptyInput(f"no generator hits residue class {c % d} mod {d}")
         gen[c] = best
     return InvariantSet(params, tuple(gen))
-
-
-def natural_numbers(params: GridParams) -> InvariantSet:
-    """Z_{>=0} as an invariant subset."""
-    return InvariantSet(params, tuple(range(params.N)))
-
-
-def semigroup(params: GridParams) -> InvariantSet:
-    """The numerical semigroup generated by N and M."""
-    return invset_from_generators(params, [0])
 
 
 def generators_n(delta: InvariantSet) -> list[int]:
@@ -298,8 +287,7 @@ def decompose(delta: InvariantSet) -> list[ResidueComponent]:
     coprime = GridParams(p.n, p.m, 1)
     out = []
     for r in range(p.d):
-        vals = [(delta.gen[c] - r) // p.d
-                for c in range(p.N) if c % p.d == r % p.d]
+        vals = [(delta.gen[c] - r) // p.d for c in range(r, p.N, p.d)]
         shift = min(vals)
         gen = [None] * p.n
         for v in vals:
@@ -365,26 +353,6 @@ def core_partition(delta: InvariantSet) -> CorePartition:
     if not delta.normalized:
         raise NotNormalized("core correspondence requires min(Delta) = 0")
     return partition_from_beta(gaps(delta))
-
-
-def invset_from_core(params: GridParams, lam: CorePartition) -> InvariantSet:
-    """Inverse of core_partition; rejects partitions with an N- or M-hook."""
-    hooks = set(lam.first_column_hooks())
-    for h in hooks:
-        for step in (params.N, params.M):
-            if h - step >= 0 and h - step not in hooks:
-                raise InvalidCore(
-                    f"first-column hooks not closed under -{step}")
-    gen = []
-    for c in range(params.N):
-        x = c
-        while x in hooks:
-            x += params.N
-        gen.append(x)
-    try:
-        return InvariantSet(params, tuple(gen))
-    except ValueError as exc:
-        raise InvalidCore(str(exc)) from exc
 
 
 def d_quotient(lam: CorePartition, d: int) -> list[CorePartition]:

@@ -61,15 +61,6 @@ class GridParams:
         return (self.m - 1) * (self.n - 1) // 2
 
 
-def box_rank(params: GridParams, x: int, y: int) -> int:
-    """Rank d*m*n - m - n - n*x - m*y of the box (x, y).
-
-    Defined on all of Z^2; the boxes of non-negative rank are exactly
-    those that fit under the diagonal of the rectangle.
-    """
-    return params.d * params.m * params.n - params.m - params.n - params.n * x - params.m * y
-
-
 def _dyck_area(params: GridParams, steps: str) -> int:
     """Area of a string of N 'v' and M 'h' steps (the caller has counted
     them) by its one rank walk, which raises AboveDiagonal if it crosses."""

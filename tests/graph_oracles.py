@@ -1,9 +1,11 @@
-"""Gluing oracles shared by the tests: the edges and source that the
-labels and levels determine, the edge-based levels and canonical form that
+"""Oracles shared by the tests: the edges and source that the labels and
+levels determine, the edge-based levels and canonical form that
 LabeledDigraph used before it took levels as input, the canonical form as
-json.dumps writes it, the class census by subsets, one periodic window and
-one window removal by definition, the window peel that counts the ranks it
-holds, seeded paths past desk scale, and ratcat's lru caches."""
+json.dumps writes it, the class census by subsets, equivalence by canonical
+forms, one periodic window and one window removal by definition, the window
+peel that counts the ranks it holds, seeded paths past desk scale, ratcat's
+lru caches, and the fixtures and references that ratcat does not export: the
+rank of a box, Z_{>=0}, the semigroup of N and M, and a subset from its core."""
 
 import json
 import random
@@ -12,15 +14,52 @@ import sys
 from ratcat import (
     DyckPath,
     GridParams,
+    InvariantSet,
     InvariantViolation,
     LabeledDigraph,
     NotBalanced,
     build_graph,
     canonical_form,
     enumerate_invsets_by_gap,
+    invset_from_generators,
     subdiagonal_box_count,
 )
 from ratcat.invset import invset_from_skeleton
+
+
+def box_rank(params, x, y):
+    """Rank d*m*n - m - n - n*x - m*y of the box (x, y), on all of Z^2: the
+    boxes of non-negative rank are those under the diagonal of the rectangle."""
+    return params.d * params.m * params.n - params.m - params.n - params.n * x - params.m * y
+
+
+def natural_numbers(params):
+    """Z_{>=0} as an invariant subset."""
+    return InvariantSet(params, tuple(range(params.N)))
+
+
+def semigroup(params):
+    """The numerical semigroup generated by N and M."""
+    return invset_from_generators(params, [0])
+
+
+def invset_from_core(params, lam):
+    """Inverse of core_partition: the class c mod N of Delta starts at the
+    least x = c mod N that is not a first-column hook of the core lam."""
+    hooks = set(lam.first_column_hooks())
+    gen = []
+    for c in range(params.N):
+        x = c
+        while x in hooks:
+            x += params.N
+        gen.append(x)
+    return InvariantSet(params, tuple(gen))
+
+
+def equivalent(delta1, delta2):
+    """Whether two subsets of one grid have the same gluing data up to isomorphism."""
+    assert delta1.params == delta2.params, (delta1, delta2)
+    return canonical_form(build_graph(delta1)) == canonical_form(build_graph(delta2))
 
 
 def graph_edges(graph):

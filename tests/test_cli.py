@@ -31,7 +31,7 @@ def test_count_fuss(capsys):
 F_OVER = "error: the {}-tuples through q^{} exceed the limit of 200000 tuple entries\n"
 FUSS_OVER = "error: (k+1)N = {} exceeds the limit 10000\n"
 C_OVER = ("error: the invariant subsets of the ({0},{0}) grid with gap at most {1} exceed "
-          "the limit of 100000 subsets\n")
+          "the limit of 100000 G-image steps (subsets times N+M)\n")
 
 
 @pytest.mark.parametrize("argv, out, err", [
@@ -55,13 +55,18 @@ C_OVER = ("error: the invariant subsets of the ({0},{0}) grid with gap at most {
     (("count", "fuss", "--N", "1000000"), "", FUSS_OVER.format(2000000)),
     (("count", "fuss", "--N", "1", "--k", "1000000"), "", FUSS_OVER.format(1000001)),
     (("count", "fuss", "--N", "100000", "--k", "100000"), "", FUSS_OVER.format(10000100000)),
-    # series C: at d = 2 on (1,1) the subsets with gap <= c are c + 1, at most 100000
-    (("series", "C", "--d", "2", "--cutoff", "99999"), "exact through q^99999: q + t + q^2", ""),
-    (("series", "C", "--d", "2", "--cutoff", "100000"), "", C_OVER.format(2, 100000)),
+    # series C: subsets times N+M G-image steps, at most 100000; at d = 2 on
+    # (1,1) the subsets with gap <= c are c + 1, and N+M = 4
+    (("series", "C", "--d", "2", "--cutoff", "24999"), "exact through q^24999: q + t + q^2", ""),
+    (("series", "C", "--d", "2", "--cutoff", "25000"), "", C_OVER.format(2, 25000)),
     (("series", "C", "--d", "9", "--cutoff", "40"), "", C_OVER.format(9, 40)),
     (("series", "C", "--d", "2", "--cutoff", "1000000"), "", C_OVER.format(2, 1000000)),
     (("series", "C", "--d", "1000000", "--cutoff", "1000000"), "",
      C_OVER.format(1000000, 1000000)),
+    # at a large d one subset is d * (n+m) steps: (1,1,50000) at gap 0 is the limit
+    (("series", "C", "--d", "100000", "--cutoff", "0"), "", C_OVER.format(100000, 0)),
+    (("series", "C", "--d", "1000", "--cutoff", "1"), "", C_OVER.format(1000, 1)),
+    (("series", "C", "--d", "50000", "--cutoff", "0"), "exact through q^0: t^1249975000\n", ""),
 ])
 def test_bounded_work_at_and_past_the_limit(capsys, argv, out, err):
     # each run ends in well under 5 s: an answer at the limit, exit 1 past it

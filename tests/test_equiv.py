@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -19,7 +20,6 @@ from ratcat import (
     count_equivalence_classes,
     enumerate_invsets_by_gap,
     enumerate_paths,
-    equivalent,
     gap,
     glue_all,
     invset_from_generators,
@@ -27,23 +27,29 @@ from ratcat import (
     minimal_representative,
     minimal_shifting,
     parse_path,
-    semigroup,
     shift_bounds,
     skeleton,
     subdiagonal_box_count,
     unglue,
 )
-from ratcat.invset import InvariantSet, Skeleton, invset_from_path_coprime
+from ratcat.invset import (
+    InvariantSet,
+    Skeleton,
+    invset_from_path_coprime,
+    invset_from_skeleton,
+)
 from ratcat.verify import all_grid_params
 
 from graph_oracles import (
     clear_caches,
+    equivalent,
     graph_edges,
     graph_from_edges,
     graph_source,
     oracle_canonical_form,
     oracle_levels,
     sampled_paths,
+    semigroup,
     subset_class_forms,
 )
 
@@ -747,6 +753,28 @@ def test_graph_validation_messages(n, m, labels, levels, message):
     with pytest.raises(InvalidGraph) as exc:
         LabeledDigraph(n, m, labels=labels, levels=levels)
     assert str(exc.value) == message
+
+
+def test_a_label_reads_its_least_element_off_its_least_value():
+    # the vertex check takes min(Delta) = label[0] + m, as min(Delta) - m is
+    # the least skeleton value; here against the reconstructed subset
+    checked = 0
+    for n, m in [(n, m) for n in range(1, 13) for m in range(1, 14 - n) if math.gcd(n, m) == 1]:
+        params = GridParams(n, m, 1)
+        for D in enumerate_paths(params):
+            values = skeleton(invset_from_path_coprime(D)).sorted_values
+            for s in (-3, 0, 5):
+                label = tuple([x + s for x in values])
+                assert invset_from_skeleton(params, label).min_element() == label[0] + m == s
+                if s == 0:
+                    LabeledDigraph(n, m, (label,), (0,))
+                else:
+                    with pytest.raises(InvalidGraph, match=(
+                            "^label 0 not non-negatively normalized$" if s < 0
+                            else "^source label must be 0-normalized$")):
+                        LabeledDigraph(n, m, (label,), (0,))
+                checked += 1
+    assert checked == 3 * 1061
 
 
 def test_build_graph_runs_the_meet_test_once(monkeypatch):

@@ -31,7 +31,6 @@ from ratcat import (
     minimal_representative,
     parse_path,
     periodic_from_skeleton,
-    semigroup,
     step_ranks,
     unglue,
     window_skeleton,
@@ -50,6 +49,7 @@ from graph_oracles import (
     remove_interval,
     sampled_paths,
     seeded_paths,
+    semigroup,
     window,
 )
 

@@ -13,7 +13,6 @@ from ratcat import (
     NotCoprimeCase,
     NotNormalized,
     area,
-    box_rank,
     cli,
     cogenerators_m,
     core_partition,
@@ -24,19 +23,18 @@ from ratcat import (
     gap,
     gaps,
     generators_n,
-    invset_from_core,
     invset_from_generators,
     invset_from_path_coprime,
     invset_from_skeleton,
     map_D_coprime,
     map_G,
-    natural_numbers,
-    semigroup,
     skeleton,
     zeta,
 )
 from ratcat.invset import InvariantSet, Skeleton
 from ratcat.verify import all_grid_params
+
+from graph_oracles import box_rank, invset_from_core, natural_numbers, semigroup
 
 P53 = GridParams(5, 3, 1)
 P64 = GridParams(3, 2, 2)

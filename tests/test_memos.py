@@ -22,8 +22,8 @@ from ratcat.verify import all_grid_params
 from graph_oracles import clear_caches, ratcat_caches, seeded_paths
 
 # what a label alone determines: its rank set and its window from an entry
-# rank (glue_all), its least element (the vertex check), its canonical text
-MEMOS = (glue._label_ranks, glue._window, equiv._label_low, equiv._label_text)
+# rank (glue_all), its subset (the vertex check), its canonical text
+MEMOS = (glue._label_ranks, glue._window, invset.coprime_from_skeleton, equiv._label_text)
 BLUE = (-2, 0, 1, 2, 4)
 
 
@@ -55,7 +55,7 @@ def test_cold_and_warm_caches_agree():
 
 def test_the_cache_scan_finds_every_memo(monkeypatch):
     found = ratcat_caches()
-    for memo in MEMOS + (invset.coprime_from_skeleton, glue._component):
+    for memo in MEMOS + (glue._component,):
         assert any(cache is memo for cache in found), memo
         assert memo.cache_info().maxsize is not None, memo  # bounded
     # after clearing, the next glue_all walks its windows again
@@ -77,7 +77,7 @@ def test_a_forged_label_raises_on_every_call():
             LabeledDigraph(3, 2, ((0, 2, 4, 6, 8),), (0,))
         assert isinstance(exc.value.__cause__, InvalidSkeleton)
         with pytest.raises(InvalidSkeleton):
-            equiv._label_low(3, 2, (0, 2, 4, 6, 8))
+            invset.coprime_from_skeleton(3, 2, (0, 2, 4, 6, 8))
     # a window walk that leaves the label, or does not return to its start
     graph = LabeledDigraph(2, 1, ((-1, 0, 1),), (0,))
     object.__setattr__(graph, "labels", ((-1, 1, 3),))
@@ -87,8 +87,8 @@ def test_a_forged_label_raises_on_every_call():
         with pytest.raises(InvariantViolation, match="^window 'hhv' does not return to rank -1$"):
             glue_all(graph)
     # no failure was stored or served: the one entry is the real label (-1, 0, 1)
-    low, window = equiv._label_low.cache_info(), glue._window.cache_info()
-    assert (low.hits, low.currsize, window.hits, window.currsize) == (0, 1, 0, 0)
+    label, window = invset.coprime_from_skeleton.cache_info(), glue._window.cache_info()
+    assert (label.hits, label.currsize, window.hits, window.currsize) == (0, 1, 0, 0)
     # the other two memos read any tuple and have no failure
     assert glue._label_ranks((-1, 1, 3)) == {-1, 1, 3}
     assert equiv._label_text((-1, 1, 3)) == "-1,1,3"

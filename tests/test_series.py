@@ -125,9 +125,19 @@ def test_subset_count_is_exact_and_C_series_refuses_past_the_limit():
         for budget in range(9):
             assert _subset_count(gaps, d, budget) == \
                 len(enumerate_invsets_by_gap(params, budget)), (params, budget)
-    # on (1,1,2) the subsets with gap <= c are c + 1: the limit, then one past it
-    assert len(enumerate_invsets_by_gap(P22, C_LIMIT - 1)) == C_LIMIT
-    for d, cutoff in [(2, C_LIMIT), (9, 40), (10**6, 10**6)]:
+    # the work is subsets times N + M: on (1,1,2) the subsets with gap <= c
+    # are c + 1 and N + M = 4, so the limit, then one past it
+    assert len(enumerate_invsets_by_gap(P22, C_LIMIT // 4 - 1)) == C_LIMIT // 4
+    # one subset of d * 2 steps at gap 0 on (1,1,d)
+    assert len(enumerate_invsets_by_gap(GridParams(1, 1, C_LIMIT // 2), 0)) == 1
+    # on (3,2,2), N + M = 10, the exact count decides: c + 1 subsets is the
+    # lower bound, and 10000 at c = 2500 the limit
+    assert len(enumerate_invsets_by_gap(GridParams(3, 2, 2), 2500)) == C_LIMIT // 10
+    with pytest.raises(LimitExceeded, match=r"^the invariant subsets of the \(6,4\) grid "
+                       rf"with gap at most 2501 exceed the limit of {C_LIMIT}"):
+        C_series(GridParams(3, 2, 2), 2501)
+    for d, cutoff in [(2, C_LIMIT // 4), (9, 40), (10**6, 10**6), (C_LIMIT // 2 + 1, 0),
+                      (1000, 1), (10**9, 0)]:
         with pytest.raises(LimitExceeded, match=rf"^the invariant subsets of the \({d},{d}\) "
                            rf"grid with gap at most {cutoff} exceed the limit of {C_LIMIT}"):
             C_series(GridParams(1, 1, d), cutoff)
