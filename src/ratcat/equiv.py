@@ -325,6 +325,9 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
     each label is a coprime skeleton and (co)generators go class by class mod d,
     so the last value in each class mod N is its generator, taken as it is and
     not reassembled; InvariantSet still checks its classes and M-invariance.
+    As N = d*n and M = d*m, Delta meets d*Z + i in d*L + i, L the subset with
+    skeleton label(order[i]), and d*y + i is an N-generator or M-cogenerator
+    of Delta iff y is one of L: the sorted values are Delta's skeleton, carried.
 
     p is checked by a certificate, _shifting_fault, not solved for again.
     With s(x) = x + p[x mod d] = d*label + level, it holds on a validated
@@ -355,11 +358,12 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         raise InvariantViolation(f"labels {graph.labels} do not assemble: {exc}") from exc
     if not delta.normalized:
         raise InvariantViolation(f"minimal representative {delta.gen} is not normalized")
-    predicted = tuple(graph.levels[v] - i for i, v in enumerate(order))
+    predicted = tuple([graph.levels[v] - i for i, v in enumerate(order)])
     fault = _shifting_fault(values, predicted)
     if fault:
         raise InvariantViolation(f"the shifting {predicted} that the levels of {graph.labels} "
                                  f"predict is not minimal: {fault}")
+    object.__setattr__(delta, "_skeleton", tuple(values))
     return delta
 
 

@@ -212,12 +212,13 @@ class ColoredPath:
                                for i, c in enumerate(self.components)]}
 
 
-def _peel(path: DyckPath, ranks: list[int]):
-    """Yield (round, rank set, original step positions) of each window that
+def _peel(path: DyckPath, ranks: list[int]) -> list[tuple]:
+    """(round, rank set, original step positions) of each window that
     ungluing removes, in removal order; ranks are the path's point ranks.
 
-    The points not yet removed sit on a stack.  While the top n+m+1 start
-    and end at one rank they form a balanced window, with n+m distinct
+    The points not yet removed sit on a stack, above n+m sentinels of no
+    rank, so no window reaches below the first point.  While the top n+m+1
+    start and end at one rank they form a balanced window, with n+m distinct
     ranks (each step adds n mod n+m, a unit), held by its points before its
     end e.  It is good: its periodic path holds exactly the points of its
     ranks, and no lower point holds one, so it is popped with no check.
@@ -247,7 +248,7 @@ def _peel(path: DyckPath, ranks: list[int]):
     and on the path's own ranks its rank changes telescope to 0: n*#h =
     m*#v with #h + #v = n+m and gcd(n, m) = 1 gives n 'v'.  The coloring,
     a window per color, needs no check.  A rank stack beside the stack of
-    positions slices out each window's ranks, yielded sorted as its label.
+    positions slices out each window's ranks, sorted as its label.
     Forged ranks, whose steps are not n or -m, void the proof, and _peel
     does not check them: in unglue a window whose ranks are no skeleton
     fails the label check of LabeledDigraph._trusted, and points left on
@@ -255,12 +256,13 @@ def _peel(path: DyckPath, ranks: list[int]):
     """
     width = path.params.n + path.params.m
     top = [0] * (max(ranks) + path.params.m + 1)  # highest round popped, by rank: -m..-1 wrap
-    stack: list[int] = []
-    stack_ranks: list[int] = []  # ranks[z] for each z on the stack
+    stack = [None] * width
+    stack_ranks = [None] * width  # ranks[z] for each z on the stack
+    out = []
     for z, r in enumerate(ranks):
         stack.append(z)
         stack_ranks.append(r)
-        while len(stack) > width and stack_ranks[-width - 1] == r:
+        while stack_ranks[-width - 1] == r:
             window = stack[-width - 1:-1]
             window_ranks = stack_ranks[-width - 1:-1]
             level = 1 + max(map(top.__getitem__, window_ranks))
@@ -268,9 +270,11 @@ def _peel(path: DyckPath, ranks: list[int]):
                 top[k] = level
             del stack[-width - 1:-1]
             del stack_ranks[-width - 1:-1]
-            yield level, tuple(sorted(window_ranks)), window
-    if len(stack) != 1:
+            window_ranks.sort()
+            out.append((level, tuple(window_ranks), window))
+    if len(stack) != width + 1:
         raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
+    return out
 
 
 def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:

@@ -15,7 +15,7 @@ in it), and the generator of its class if inside (y is not).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (
@@ -36,6 +36,9 @@ class InvariantSet:
 
     params: GridParams
     gen: tuple[int, ...]
+    # the sorted skeleton, set only by a constructor that has proven it
+    _skeleton: tuple[int, ...] | None = field(default=None, init=False, compare=False,
+                                              repr=False)
 
     def __post_init__(self):
         N, M = self.params.N, self.params.M
@@ -84,7 +87,7 @@ class Skeleton:
     def step_pattern(self) -> str:
         """'v' per generator, 'h' per cogenerator, in increasing value order."""
         N, members = self.params.N, set(self.sorted_values)
-        return "".join("h" if x + N in members else "v" for x in self.sorted_values)
+        return "".join(["h" if x + N in members else "v" for x in self.sorted_values])
 
     def parts_mod_d(self) -> list[list[int]]:
         """Skeleton values split by residue mod d, each part sorted."""
@@ -146,15 +149,20 @@ def cogenerators_m(delta: InvariantSet) -> list[int]:
 
 
 def skeleton(delta: InvariantSet) -> Skeleton:
-    """The generators and cogenerators, merged and sorted."""
-    return Skeleton(delta.params, tuple(sorted([*delta.gen, *cogenerators_m(delta)])))
+    """The generators and cogenerators, merged and sorted, or the sorted
+    skeleton that Delta carries from its constructor."""
+    values = delta._skeleton
+    if values is None:
+        values = tuple(sorted([*delta.gen, *cogenerators_m(delta)]))
+    return Skeleton(delta.params, values)
 
 
 def invset_from_skeleton(params: GridParams, values) -> InvariantSet:
     """Reconstruct the invariant subset whose skeleton has the given values.
 
     The largest value in each class mod N is the generator of that
-    class; the reconstruction must reproduce the input value set.
+    class; the reconstruction must reproduce the input value set, so the
+    subset carries the values as its skeleton.
     """
     N, M = params.N, params.M
     values = sorted(values)
@@ -174,6 +182,7 @@ def invset_from_skeleton(params: GridParams, values) -> InvariantSet:
     # generators and M-cogenerators together are the skeleton's values
     if sorted(gen + cogenerators_m(delta)) != values:
         raise InvalidSkeleton(f"{values} is not a skeleton")
+    object.__setattr__(delta, "_skeleton", tuple(values))
     return delta
 
 
@@ -253,9 +262,10 @@ def dinv_invset(delta: InvariantSet) -> int:
 
 
 def gap(delta: InvariantSet) -> int:
-    """|Z_{>=0} \\ Delta|, computed in closed form from the generators."""
+    """|Z_{>=0} \\ Delta|, computed in closed form from the generators: class c
+    misses c, c + N, ... below g = gen[c], (g - c) // N = g // N of them, if g >= 0."""
     N = delta.params.N
-    return sum(max(0, (g - c) // N) for c, g in enumerate(delta.gen))
+    return sum([g // N for g in delta.gen if g >= N])
 
 
 def gaps(delta: InvariantSet) -> list[int]:

@@ -157,20 +157,23 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
     Each subset costs O(N + M) steps here and in C_series's G-image, and
     every node leads to one at depth d <= N: the work is the subsets times
     N + M.  It is counted first, by the lower bound C(budget + d - 1, d - 1)
-    of subsets (one coprime subset has gap 0), then by _subset_count; above
-    C_LIMIT it raises LimitExceeded, building none.
+    of subsets (one coprime subset has gap 0), before the coprime subsets
+    are built, then by _subset_count; above C_LIMIT it raises
+    LimitExceeded, building none of them.
     """
     d, N = params.d, params.N
+    steps = N + params.M
+    over = LimitExceeded(f"the invariant subsets of the ({N},{params.M}) grid with gap at "
+                         f"most {budget} exceed the limit of {C_LIMIT} G-image steps "
+                         f"(subsets times N+M)")
+    k = min(budget, d - 1)  # C(budget + d - 1, k) >= C(2k, k) >= 2**k
+    if k >= C_LIMIT.bit_length() or comb(budget + d - 1, k) * steps > C_LIMIT:
+        raise over
     base = [invset_from_path_coprime(path)
             for path in enumerate_paths(GridParams(params.n, params.m, 1))]
     gaps = list(map(gap, base))
-    steps = N + params.M
-    k = min(budget, d - 1)  # C(budget + d - 1, k) >= C(2k, k) >= 2**k
-    if (k >= C_LIMIT.bit_length() or comb(budget + d - 1, k) * steps > C_LIMIT
-            or _subset_count(gaps, d, budget) * steps > C_LIMIT):
-        raise LimitExceeded(f"the invariant subsets of the ({N},{params.M}) grid with gap "
-                            f"at most {budget} exceed the limit of {C_LIMIT} G-image steps "
-                            f"(subsets times N+M)")
+    if _subset_count(gaps, d, budget) * steps > C_LIMIT:
+        raise over
     fits = [(k, g) for k, g in enumerate(gaps) if g <= budget]
     out, chosen = [], [None] * d
     stack = [(0, budget - g, k, 0) for k, g in reversed(fits)]

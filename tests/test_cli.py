@@ -67,6 +67,13 @@ C_OVER = ("error: the invariant subsets of the ({0},{0}) grid with gap at most {
     (("series", "C", "--d", "100000", "--cutoff", "0"), "", C_OVER.format(100000, 0)),
     (("series", "C", "--d", "1000", "--cutoff", "1"), "", C_OVER.format(1000, 1)),
     (("series", "C", "--d", "50000", "--cutoff", "0"), "exact through q^0: t^1249975000\n", ""),
+    # one subset of (11,13,4167) is 100008 steps: refused before the 104006
+    # coprime subsets of (11,13) are built.  Rows from here on take an id that
+    # names their command, so re-pinning an expected text renames no test.
+    pytest.param(("series", "C", "--n", "11", "--m", "13", "--d", "4167", "--cutoff", "0"), "",
+                 "error: the invariant subsets of the (45837,54171) grid with gap at most 0 "
+                 "exceed the limit of 100000 G-image steps (subsets times N+M)\n",
+                 id="C-n11-m13-d4167-cutoff0"),
 ])
 def test_bounded_work_at_and_past_the_limit(capsys, argv, out, err):
     # each run ends in well under 5 s: an answer at the limit, exit 1 past it

@@ -17,12 +17,15 @@ from ratcat import (
     bizley_count,
     build_graph,
     canonical_form,
+    cogenerators_m,
     count_equivalence_classes,
     enumerate_invsets_by_gap,
     enumerate_paths,
     gap,
+    gaps,
     glue_all,
     invset_from_generators,
+    map_G,
     min_gap_in_class,
     minimal_representative,
     minimal_shifting,
@@ -49,6 +52,7 @@ from graph_oracles import (
     oracle_canonical_form,
     oracle_levels,
     sampled_paths,
+    seeded_paths,
     semigroup,
     subset_class_forms,
 )
@@ -786,3 +790,63 @@ def test_build_graph_runs_the_meet_test_once(monkeypatch):
         calls.clear()
         build_graph(delta)
         assert len(calls) == 1
+
+
+def full_skeleton(delta):
+    """Delta's sorted skeleton from its generators, whatever it carries."""
+    return tuple(sorted([*delta.gen, *cogenerators_m(delta)]))
+
+
+@functools.cache
+def carrying_subsets():
+    """The subsets built carrying their skeleton: the minimal representative
+    of each desk and sampled path's graph and of each census class graph."""
+    import ratcat.series as series
+    graphs = [*desk_graphs(), *(unglue(D)[0] for D in sampled_paths()),
+              *(graph for grid in CENSUS_GRIDS for graph in series.class_graphs(GridParams(*grid)))]
+    return tuple(minimal_representative(graph) for graph in graphs)
+
+
+def test_carried_skeleton_is_the_skeleton():
+    subsets = carrying_subsets()
+    for delta in subsets:
+        assert delta._skeleton == skeleton(delta).sorted_values == full_skeleton(delta), delta.gen
+        plain = InvariantSet(delta.params, delta.gen)
+        assert plain._skeleton is None
+        assert plain == delta and hash(plain) == hash(delta), delta.gen
+        assert repr(plain) == repr(delta) and plain.to_jsonable() == delta.to_jsonable()
+    assert len(subsets) == 2905 + 200 + sum(bizley_count(*grid) for grid in CENSUS_GRIDS)
+    # the memo hands out one carrying subset per label, cold and warm alike
+    from ratcat.invset import coprime_from_skeleton
+    clear_caches()
+    for params in all_grid_params(14):
+        if params.d == 1:
+            for path in enumerate_paths(params):
+                label = skeleton(invset_from_path_coprime(path)).sorted_values
+                cold = coprime_from_skeleton(params.n, params.m, label)
+                warm = coprime_from_skeleton(params.n, params.m, label)
+                assert warm is cold and cold._skeleton == label == full_skeleton(cold), label
+
+
+def test_gap_closed_form_counts_the_gaps():
+    census = [delta for grid in CENSUS_GRIDS for delta in census_subsets(GridParams(*grid))]
+    for delta in [*carrying_subsets(), *census]:
+        for shifted in (delta, delta.shifted(-3), delta.shifted(5)):
+            assert gap(shifted) == len(gaps(shifted)), shifted.gen
+
+
+@pytest.mark.parametrize("grid", [(1, 1, 7), (2, 1, 6)], ids=["n1-m1-d7", "n2-m1-d6"])
+def test_classify_reads_the_carried_skeleton(monkeypatch, grid):
+    # once the label memos are warm, the G-image and gap of a path's minimal
+    # representative compute no cogenerator: the representative carries them
+    import ratcat.invset as invset
+    path = next(seeded_paths(GridParams(*grid), 1, seed=29))
+    def classify():
+        rep = minimal_representative(unglue(path)[0])
+        return rep, map_G(rep).steps, gap(rep)
+    rep, steps, _ = want = classify()  # warms the memos
+    calls = []
+    real = invset.cogenerators_m
+    monkeypatch.setattr(invset, "cogenerators_m", lambda delta: calls.append(delta) or real(delta))
+    assert classify() == want and calls == []
+    assert map_G(InvariantSet(rep.params, rep.gen)).steps == steps and len(calls) == 1

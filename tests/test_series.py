@@ -117,7 +117,7 @@ def test_F_series_and_fuss_catalan_refuse_past_their_limits():
         fuss_catalan(1, FUSS_LIMIT)
 
 
-def test_subset_count_is_exact_and_C_series_refuses_past_the_limit():
+def test_subset_count_is_exact_and_C_series_refuses_past_the_limit(monkeypatch):
     from ratcat.series import C_LIMIT, _subset_count
     for (n, m, d) in [(1, 1, 3), (2, 1, 2), (3, 2, 2), (2, 3, 1), (1, 1, 4), (2, 1, 3)]:
         params = GridParams(n, m, d)
@@ -141,6 +141,12 @@ def test_subset_count_is_exact_and_C_series_refuses_past_the_limit():
         with pytest.raises(LimitExceeded, match=rf"^the invariant subsets of the \({d},{d}\) "
                            rf"grid with gap at most {cutoff} exceed the limit of {C_LIMIT}"):
             C_series(GridParams(1, 1, d), cutoff)
+    # the lower bound needs only d, the cutoff and N + M: one subset of
+    # (11,13,4167) is 100008 steps, refused before any coprime path is listed
+    import ratcat.series as series
+    monkeypatch.setattr(series, "enumerate_paths", None)
+    with pytest.raises(LimitExceeded, match=r"^the invariant subsets of the \(45837,54171\) "):
+        C_series(GridParams(11, 13, 4167), 0)
 
 
 def test_F_series_cyclic_shift():
