@@ -28,7 +28,7 @@ from .invset import (
     gap,
     skeleton,
 )
-from .lattice import GridParams
+from .lattice import GridParams, _grid_params
 
 
 @dataclass(frozen=True)
@@ -180,8 +180,8 @@ class LabeledDigraph:
             raise InvalidGraph("need at least one vertex")
         if len(levels) != d:
             raise InvalidGraph(f"levels {levels} for {d} labels")
-        sources = [i for i, f in enumerate(levels) if f == 0]
-        if len(sources) != 1:
+        if levels.count(0) != 1:
+            sources = [i for i, f in enumerate(levels) if f == 0]
             raise InvalidGraph(f"level-0 vertices {sources}, expected exactly one")
         for i, lbl in enumerate(labels):
             try:
@@ -341,13 +341,10 @@ def minimal_representative(graph: LabeledDigraph) -> InvariantSet:
         part from a part one level lower, and so a tight path from part 0.
     The check stays as the invariant against forged graph values.
     """
-    d = graph.d
+    d, labels = graph.d, graph.labels
     order = sorted(range(d), key=graph.levels.__getitem__)
-    values = []
-    for i, v in enumerate(order):
-        values.extend([d * x + i for x in graph.labels[v]])
-    values.sort()
-    params = GridParams(graph.n, graph.m, d)
+    values = sorted([d * x + i for i, v in enumerate(order) for x in labels[v]])
+    params = _grid_params(graph.n, graph.m, d)
     N = params.N
     gen = [None] * N
     for x in values:  # increasing, so each class keeps its last value

@@ -30,12 +30,14 @@ from .errors import (
 )
 from .equiv import LabeledDigraph
 from .invset import _walk, coprime_from_skeleton
-from .lattice import DyckPath, GridParams, step_ranks
+from .lattice import DyckPath, GridParams, _grid_params, step_ranks
 
 
 def _point_ranks(path: DyckPath) -> list[int]:
     """Rank of every point of the path, from its start to its end."""
-    return step_ranks(path.params, path) + [-path.params.m]
+    ranks = step_ranks(path.params, path)
+    ranks.append(-path.params.m)
+    return ranks
 
 
 def _glued(params: GridParams, steps: str) -> DyckPath:
@@ -144,7 +146,7 @@ def glue_all(graph: LabeledDigraph) -> DyckPath:
             steps = _splice(steps, ranks, n, m, graph.labels[v])
         except NoIntersection as exc:
             raise InvariantViolation(f"gluing vertex {v} of {graph.labels}: {exc}") from exc
-    return _glued(GridParams(n, m, graph.d), steps)
+    return _glued(_grid_params(n, m, graph.d), steps)
 
 
 def good_intervals(path: DyckPath) -> list[int]:
@@ -156,7 +158,8 @@ def good_intervals(path: DyckPath) -> list[int]:
     The first balanced interval is good, and the good ones are _peel's
     round-1 windows, as its rounds are those of round-by-round removal.
     """
-    return sorted(w[0] for level, _, w in _peel(path, _point_ranks(path)) if level == 1)
+    return sorted(start for neg_round, start, _, _ in _peel(path, _point_ranks(path))
+                  if neg_round == -1)
 
 
 def window_skeleton(path: DyckPath, r: int) -> frozenset[int]:
@@ -213,8 +216,10 @@ class ColoredPath:
 
 
 def _peel(path: DyckPath, ranks: list[int]) -> list[tuple]:
-    """(round, rank set, original step positions) of each window that
-    ungluing removes, in removal order; ranks are the path's point ranks.
+    """(-round, start position, rank set, original step positions) of each
+    window that ungluing removes, in removal order; ranks are the path's
+    point ranks.  Sorted as they are, the records follow the rounds
+    descending and each round in path order, as no two windows share a start.
 
     The points not yet removed sit on a stack, above n+m sentinels of no
     rank, so no window reaches below the first point.  While the top n+m+1
@@ -255,6 +260,7 @@ def _peel(path: DyckPath, ranks: list[int]) -> list[tuple]:
     the stack end the pass with "no good interval left", InvariantViolations.
     """
     width = path.params.n + path.params.m
+    below = -width - 1  # the stack index of a closing window's start
     top = [0] * (max(ranks) + path.params.m + 1)  # highest round popped, by rank: -m..-1 wrap
     stack = [None] * width
     stack_ranks = [None] * width  # ranks[z] for each z on the stack
@@ -262,16 +268,15 @@ def _peel(path: DyckPath, ranks: list[int]) -> list[tuple]:
     for z, r in enumerate(ranks):
         stack.append(z)
         stack_ranks.append(r)
-        while stack_ranks[-width - 1] == r:
-            window = stack[-width - 1:-1]
-            window_ranks = stack_ranks[-width - 1:-1]
+        while stack_ranks[below] == r:
+            window = stack[below:-1]
+            window_ranks = stack_ranks[below:-1]
             level = 1 + max(map(top.__getitem__, window_ranks))
             for k in window_ranks:
                 top[k] = level
-            del stack[-width - 1:-1]
-            del stack_ranks[-width - 1:-1]
+            del stack[below:-1], stack_ranks[below:-1]
             window_ranks.sort()
-            out.append((level, tuple(window_ranks), window))
+            out.append((-level, window[0], tuple(window_ranks), window))
     if len(stack) != width + 1:
         raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
     return out
@@ -283,20 +288,21 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
     Each window _peel removes is a vertex labeled by its ranks, and its
     step positions are its color class; the last, alone in the top round,
     is the source.  Vertices follow the rounds descending, each in path
-    order, so every window a vertex meets in a later round comes before
-    it: its level is 1 + the highest level so far at any of its ranks.
+    order, the order of _peel's records sorted as they are, so every window
+    a vertex meets in a later round comes before it: its level is 1 + the
+    highest level so far at any of its ranks.
     Those levels prove the meet test, so LabeledDigraph._trusted skips it;
     the labels are still checked, and so is the one source: two top-round
     windows would both get level 0, which the graph rejects.
     The coloring is stored as its colors alone and needs no check: _peel's
     stack neighbours share ranks, so each class's runs reconnect and each
-    class is balanced.  The components are derived when they are read.
+    class is balanced.  So the ColoredPath is built without its __init__,
+    which checks nothing; the components are derived when they are read.
     """
     n, m = path.params.n, path.params.m
     steps = path.steps
     point_ranks = _point_ranks(path)
-    windows = sorted([(-round_, positions[0], label, positions)
-                      for round_, label, positions in _peel(path, point_ranks)])
+    windows = sorted(_peel(path, point_ranks))
     top = [-1] * (max(point_ranks) + m + 1)  # the highest level so far, by rank
     levels, colors = [], [0] * len(steps)
     for v, (_, _, label, positions) in enumerate(windows):
@@ -307,10 +313,12 @@ def unglue(path: DyckPath) -> tuple[LabeledDigraph, ColoredPath]:
         for z in positions:
             colors[z] = v
     try:
-        graph = LabeledDigraph._trusted(n, m, tuple(w[2] for w in windows), tuple(levels))
+        graph = LabeledDigraph._trusted(n, m, tuple([w[2] for w in windows]), tuple(levels))
     except InvalidGraph as exc:
         raise InvariantViolation(f"ungluing {steps!r} gave an invalid graph: {exc}") from exc
-    return graph, ColoredPath(path, tuple(colors))
+    colored = object.__new__(ColoredPath)  # as _trusted builds the graph: nothing to check
+    colored.__dict__.update(base=path, colors=tuple(colors))
+    return graph, colored
 
 
 @lru_cache(maxsize=4096)

@@ -61,6 +61,14 @@ class GridParams:
         return (self.m - 1) * (self.n - 1) // 2
 
 
+@lru_cache(maxsize=256)
+def _grid_params(n: int, m: int, d: int) -> GridParams:
+    """GridParams(n, m, d), memoized, as glue_all and minimal_representative
+    ask for one of few grids on every call; a rejected grid raises on every
+    call, as lru_cache caches no exception."""
+    return GridParams(n, m, d)
+
+
 def _dyck_area(params: GridParams, steps: str) -> int:
     """Area of a string of N 'v' and M 'h' steps (the caller has counted
     them) by its one rank walk, which raises AboveDiagonal if it crosses."""
@@ -199,19 +207,24 @@ def _enumerate_cached(params: GridParams) -> tuple[DyckPath, ...]:
     # The walk spends exactly M 'h' and N 'v' steps, takes a 'v' only from
     # rank r >= 0 and sums r // n as it does: the checks and the area of
     # DyckPath's own walk, so each leaf is built trusted.
+    # With no 'h' left the rank is m*(v_left - 1), as every full walk ends at
+    # -m, so the one completion is v_left 'v' steps from ranks k*m, k < v_left,
+    # and it adds tail[v_left] to the area.
     n, m = params.n, params.m
     trusted = DyckPath._trusted
+    tail = [0]
+    for k in range(params.N):
+        tail.append(tail[-1] + k * m // n)
     out = []
     steps = []
 
     def rec(r, h_left, v_left, area):
-        if not h_left and not v_left:
-            out.append(trusted(params, "".join(steps), area))
+        if not h_left:
+            out.append(trusted(params, "".join(steps) + "v" * v_left, area + tail[v_left]))
             return
-        if h_left:
-            steps.append("h")
-            rec(r + n, h_left - 1, v_left, area)
-            steps.pop()
+        steps.append("h")
+        rec(r + n, h_left - 1, v_left, area)
+        steps.pop()
         if v_left and r >= 0:  # a 'v' from rank r reaches rank r - m >= -m
             steps.append("v")
             rec(r - m, h_left, v_left - 1, area + r // n)

@@ -157,9 +157,12 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
     Each subset costs O(N + M) steps here and in C_series's G-image, and
     every node leads to one at depth d <= N: the work is the subsets times
     N + M.  It is counted first, by the lower bound C(budget + d - 1, d - 1)
-    of subsets (one coprime subset has gap 0), before the coprime subsets
-    are built, then by _subset_count; above C_LIMIT it raises
-    LimitExceeded, building none of them.
+    of subsets (one coprime subset has gap 0), before the coprime paths are
+    listed, then by _subset_count; above C_LIMIT it raises LimitExceeded,
+    building no subset.  The count reads each coprime subset's gap as its
+    path's area, which the enumeration carries: at d = 1, gap(D^-1(P)) =
+    area(P) (Gorsky-Mazin, arXiv:1105.1151).  So only the components with
+    gap <= budget are built.
     """
     d, N = params.d, params.N
     steps = N + params.M
@@ -169,12 +172,13 @@ def enumerate_invsets_by_gap(params: GridParams, budget: int) -> list[InvariantS
     k = min(budget, d - 1)  # C(budget + d - 1, k) >= C(2k, k) >= 2**k
     if k >= C_LIMIT.bit_length() or comb(budget + d - 1, k) * steps > C_LIMIT:
         raise over
-    base = [invset_from_path_coprime(path)
-            for path in enumerate_paths(GridParams(params.n, params.m, 1))]
-    gaps = list(map(gap, base))
+    coprime = GridParams(params.n, params.m, 1)
+    paths = enumerate_paths(coprime)
+    gaps = [area(coprime, path) for path in paths]
     if _subset_count(gaps, d, budget) * steps > C_LIMIT:
         raise over
     fits = [(k, g) for k, g in enumerate(gaps) if g <= budget]
+    base = {k: invset_from_path_coprime(paths[k]) for k, _ in fits}
     out, chosen = [], [None] * d
     stack = [(0, budget - g, k, 0) for k, g in reversed(fits)]
     while stack:

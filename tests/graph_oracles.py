@@ -3,9 +3,10 @@ levels determine, the edge-based levels and canonical form that
 LabeledDigraph used before it took levels as input, the canonical form as
 json.dumps writes it, the class census by subsets, equivalence by canonical
 forms, one periodic window and one window removal by definition, the window
-peel that counts the ranks it holds, seeded paths past desk scale, ratcat's
-lru caches, and the fixtures and references that ratcat does not export: the
-rank of a box, Z_{>=0}, the semigroup of N and M, and a subset from its core."""
+peel that counts the ranks it holds and an unglue by it, seeded paths past
+desk scale, ratcat's lru caches, and the fixtures and references that ratcat
+does not export: the rank of a box, Z_{>=0}, the semigroup of N and M, and a
+subset from its core."""
 
 import json
 import random
@@ -22,6 +23,7 @@ from ratcat import (
     canonical_form,
     enumerate_invsets_by_gap,
     invset_from_generators,
+    step_ranks,
     subdiagonal_box_count,
 )
 from ratcat.invset import invset_from_skeleton
@@ -193,9 +195,28 @@ def peel_guarded(path, ranks):
                 top[k] = level
             del stack[-width - 1:-1]
             del stack_ranks[-width - 1:-1]
-            yield level, tuple(sorted(window_ranks)), window
+            yield -level, window[0], tuple(sorted(window_ranks)), window
     if len(stack) != 1:
         raise InvariantViolation(f"no good interval left while peeling {path.steps!r}")
+
+
+def reference_unglue(path):
+    """The labels, levels and colors of unglue by peel_guarded and the sort
+    unglue made before the peel's records came in vertex order: each record
+    rebuilt as (-round, start, label, positions)."""
+    ranks = step_ranks(path.params, path) + [-path.params.m]
+    windows = sorted([(neg_round, positions[0], label, positions)
+                      for neg_round, _, label, positions in peel_guarded(path, ranks)])
+    top = [-1] * (max(ranks) + path.params.m + 1)  # the highest level so far, by rank
+    levels, colors = [], [0] * len(path.steps)
+    for v, (_, _, label, positions) in enumerate(windows):
+        level = 1 + max(top[k] for k in label)
+        for k in label:
+            top[k] = level
+        levels.append(level)
+        for z in positions:
+            colors[z] = v
+    return tuple(w[2] for w in windows), tuple(levels), tuple(colors)
 
 
 def seeded_paths(params, count, seed):

@@ -46,6 +46,7 @@ from graph_oracles import (
     graph_source,
     json_canonical_form,
     peel_guarded,
+    reference_unglue,
     remove_interval,
     sampled_paths,
     seeded_paths,
@@ -612,10 +613,11 @@ def test_peel_removes_only_good_windows():
     for D in _paths_up_to(12):
         n, m = D.params.n, D.params.m
         left = list(range(len(D.steps)))  # original positions of the steps left
-        for _, skel, positions in glue._peel(D, glue._point_ranks(D)):
+        for _, start, skel, positions in glue._peel(D, glue._point_ranks(D)):
             current = DyckPath(GridParams(n, m, len(left) // (n + m)),
                                "".join(D.steps[z] for z in left))
-            r = left.index(positions[0])
+            assert start == positions[0], (D.steps, positions)
+            r = left.index(start)
             goods = _reference_good_positions(_reference_point_ranks(current), n + m)
             assert r in goods, (D.steps, positions)
             assert positions == left[r:r + n + m], (D.steps, positions)
@@ -655,11 +657,21 @@ def test_peel_agrees_with_the_guarded_peel():
         list(peel_guarded(stair, FORGED_STAIR_RANKS))
 
 
+def test_unglue_matches_the_reference_unglue():
+    # _peel's records sort into vertex order as they are, rebuilding none,
+    # and the ColoredPath built without __init__ is the checked one
+    for D in [*_paths_up_to(14), *sampled_paths()]:
+        graph, colored = unglue(D)
+        assert (graph.labels, graph.levels, colored.colors) == reference_unglue(D), D.steps
+        assert colored == ColoredPath(D, colored.colors), D.steps
+        assert hash(colored) == hash(ColoredPath(D, colored.colors)), D.steps
+
+
 def test_two_top_round_windows_are_an_invariant_violation(monkeypatch):
     # windows of one round never meet, so both top-round windows get level 0
     D = DyckPath(GridParams(1, 1, 3), "hhhvvv")
     monkeypatch.setattr(glue, "_peel", lambda path, ranks: iter(
-        [(2, {-1, 0}, [0, 5]), (2, {1, 2}, [2, 3])]))
+        [(-2, 0, (-1, 0), [0, 5]), (-2, 2, (1, 2), [2, 3])]))
     with pytest.raises(InvariantViolation, match=r"^ungluing 'hhhvvv' gave an invalid graph: "
                        r"level-0 vertices \[0, 1\], expected exactly one$") as exc:
         unglue(D)
@@ -672,7 +684,7 @@ def test_invalid_graph_from_unglue_is_an_invariant_violation(monkeypatch):
     for label, message in [((0, 2), "label 1 is not a skeleton: [0, 2] is not a skeleton"),
                            ((-3, -2), "label 1 not non-negatively normalized")]:
         monkeypatch.setattr(glue, "_peel", lambda path, ranks, label=label: iter(
-            [(2, (-1, 0), [0, 3]), (1, label, [1, 2])]))
+            [(-2, 0, (-1, 0), [0, 3]), (-1, 1, label, [1, 2])]))
         with pytest.raises(InvariantViolation) as exc:
             unglue(D)
         assert str(exc.value) == f"ungluing 'hhvv' gave an invalid graph: {message}"

@@ -231,6 +231,31 @@ def test_enumerated_paths_are_the_validated_paths():
         assert len(paths) == bizley_count(params.n, params.m, params.d), params
 
 
+def _reference_enumeration(params):
+    """(steps, area) of every Dyck path by a plain recursion, 'h' first, one
+    step per call, summing r // n over the 'v' steps from rank r."""
+    n, m = params.n, params.m
+    out = []
+
+    def rec(steps, r, h_left, v_left, total):
+        if not h_left and not v_left:
+            out.append((steps, total))
+        if h_left:
+            rec(steps + "h", r + n, h_left - 1, v_left, total)
+        if v_left and r >= 0:
+            rec(steps + "v", r - m, h_left, v_left - 1, total + r // n)
+
+    rec("", -m, params.M, params.N, 0)
+    return out
+
+
+def test_enumeration_emits_its_forced_tail_at_once():
+    # with no 'h' left, the enumeration appends the 'v' tail and its area at once
+    for params in all_grid_params(16):
+        got = [(D.steps, area(params, D)) for D in enumerate_paths(params)]
+        assert got == _reference_enumeration(params), params
+
+
 def test_enumerate_limit():
     with pytest.raises(LimitExceeded):
         enumerate_paths(GridParams(1, 1, 13))

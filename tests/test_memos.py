@@ -1,6 +1,7 @@
-"""The per-label memos of the gluing layer: each is a bounded lru cache that
-the cache scan finds, a warm cache answers as a cold one does, and a label
-that fails raises on every call, as lru_cache caches no exception."""
+"""The per-label memos of the gluing layer and the grid memo: each is a
+bounded lru cache that the cache scan finds, a warm cache answers as a cold
+one does, and a label or grid that fails raises on every call, as lru_cache
+caches no exception."""
 
 import pytest
 
@@ -14,9 +15,10 @@ from ratcat import (
     canonical_form,
     enumerate_paths,
     glue_all,
+    minimal_representative,
     unglue,
 )
-from ratcat import equiv, glue, invset
+from ratcat import equiv, glue, invset, lattice
 from ratcat.verify import all_grid_params
 
 from graph_oracles import clear_caches, ratcat_caches, seeded_paths
@@ -55,7 +57,7 @@ def test_cold_and_warm_caches_agree():
 
 def test_the_cache_scan_finds_every_memo(monkeypatch):
     found = ratcat_caches()
-    for memo in MEMOS + (glue._component,):
+    for memo in MEMOS + (glue._component, lattice._grid_params):
         assert any(cache is memo for cache in found), memo
         assert memo.cache_info().maxsize is not None, memo  # bounded
     # after clearing, the next glue_all walks its windows again
@@ -92,3 +94,26 @@ def test_a_forged_label_raises_on_every_call():
     # the other two memos read any tuple and have no failure
     assert glue._label_ranks((-1, 1, 3)) == {-1, 1, 3}
     assert equiv._label_text((-1, 1, 3)) == "-1,1,3"
+
+
+def test_the_grid_memo_is_the_grid_check(monkeypatch):
+    clear_caches()
+    for args in [(1, 1, 2), (3, 2, 16), (11, 13, 4166)]:
+        grid = lattice._grid_params(*args)
+        assert grid == GridParams(*args) and lattice._grid_params(*args) is grid
+    for args, message in [((2, 4, 1), "^n=2 and m=4 must be coprime$"),
+                          ((0, 1, 1), "^n and m must be positive, got n=0 and m=1$"),
+                          ((1, 1, 0), "^d must be at least 1, got 0$")]:
+        for _ in range(2):  # rejected on every call
+            with pytest.raises(ValueError, match=message):
+                lattice._grid_params(*args)
+    assert lattice._grid_params.cache_info().currsize == 3
+    # glue_all and minimal_representative build and check no GridParams of their own
+    graph = unglue(next(seeded_paths(GridParams(3, 2, 16), 1, seed=5)))[0]
+    checks = []
+    real = GridParams.__post_init__
+    monkeypatch.setattr(GridParams, "__post_init__",
+                        lambda self: checks.append(self) or real(self))
+    assert glue_all(graph).params is lattice._grid_params(3, 2, 16)
+    assert minimal_representative(graph).params is lattice._grid_params(3, 2, 16)
+    assert checks == []

@@ -17,14 +17,18 @@ from ratcat import (
     LimitExceeded,
     QTPoly,
     QTSeries,
+    area,
     bizley_count,
     count_equivalence_classes,
     enumerate_invsets_by_gap,
+    enumerate_paths,
     fuss_catalan,
     gap,
+    invset_from_path_coprime,
     qt_catalan,
     springer_poincare,
 )
+from ratcat.verify import all_grid_params
 
 P22 = GridParams(1, 1, 2)
 
@@ -147,6 +151,34 @@ def test_subset_count_is_exact_and_C_series_refuses_past_the_limit(monkeypatch):
     monkeypatch.setattr(series, "enumerate_paths", None)
     with pytest.raises(LimitExceeded, match=r"^the invariant subsets of the \(45837,54171\) "):
         C_series(GridParams(11, 13, 4167), 0)
+
+
+def test_a_coprime_gap_is_its_path_area():
+    # at d = 1, gap(D^-1(P)) = area(P): series C reads its gap counts off the paths
+    checked = 0
+    for params in all_grid_params(16):
+        if params.d == 1:
+            for path in enumerate_paths(params):
+                assert gap(invset_from_path_coprime(path)) == area(params, path), path.steps
+                checked += 1
+    assert checked == 4505
+
+
+def test_series_C_builds_only_the_components_that_fit(monkeypatch):
+    # one subset at cutoff 0: the one coprime component of gap 0 is built,
+    # not the 104006 of (11, 13)
+    import ratcat.series as series
+    built = []
+    real = series.invset_from_path_coprime
+    monkeypatch.setattr(series, "invset_from_path_coprime",
+                        lambda path: built.append(path) or real(path))
+    coprime = GridParams(11, 13, 1)
+    [delta] = enumerate_invsets_by_gap(GridParams(11, 13, 4166), 0)
+    assert built == [D for D in enumerate_paths(coprime) if area(coprime, D) == 0]
+    assert gap(delta) == 0
+    built.clear()  # 5 of the 7 coprime paths of (5, 3) have area <= 2
+    assert len(enumerate_invsets_by_gap(GridParams(5, 3, 2), 2)) == 19
+    assert sorted(area(D.params, D) for D in built) == [0, 1, 1, 2, 2]
 
 
 def test_F_series_cyclic_shift():
